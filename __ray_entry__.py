@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
+from mobile_ocr_api_ray.stages.crawl import DEFAULT_URL_BLOCK_PATTERNS
 from mobile_ocr_api_ray.stages.text_analysis import (LANG_PROFILES,
                                                      QUALITY_STOPWORDS,
                                                      _alt_regex)
@@ -665,14 +666,16 @@ def _gopher_flags_sql(src: str = "documents") -> str:
             FROM m ORDER BY doc_id"""
 
 
-# the url_filter blocklist as SQL (crawl.DEFAULT_URL_BLOCK_PATTERNS, one
-# regexp_matches per pattern — the url_filtered_pages oracle convention)
-_URL_BLOCK_SQL = (
-    r"regexp_matches(url, '\.(?:jpe?g|png|gif|bmp|tiff?|webp|mp[34]"
-    r"|avi|mov|zip|gz|exe|dmg)(?:$|\?)')"
-    r" OR regexp_matches(url, '[?&](?:sessionid|sid|phpsessid)=')"
-    r" OR regexp_matches(url, '/calendar/\d{4}/\d{2}/\d{2}')"
-    r" OR regexp_matches(url, '[?&]page=\d{3,}')")
+# the url_filter blocklist as SQL: one regexp_matches per pattern of
+# crawl.DEFAULT_URL_BLOCK_PATTERNS, in the engine's rule order (the
+# patterns hold no quote, so each embeds verbatim in a SQL literal)
+_URL_BLOCK_RULES = [f"regexp_matches(url, '{p}')"
+                    for p in DEFAULT_URL_BLOCK_PATTERNS]
+_URL_BLOCK_SQL = " OR ".join(_URL_BLOCK_RULES)
+# first matching rule's index, -1 when none matches (url_filter's rule_idx)
+_URL_RULE_IDX_SQL = ("CASE " + " ".join(f"WHEN {r} THEN {i}"
+                                       for i, r in enumerate(_URL_BLOCK_RULES))
+                     + " ELSE -1 END")
 
 # recipe doc id: first 15 hex of md5(url) — 60-bit, int64-safe
 _RECIPE_DID_SQL = ("cast(cast(('0x' || substring(md5(url), 1, 15)) "
@@ -3565,13 +3568,7 @@ def oracle_sql() -> dict[str, str]:
                   WHEN 0 THEN '/img.jpeg' WHEN 1 THEN '?phpsessid=abc123'
                   WHEN 2 THEN '/calendar/2024/01/15' ELSE '?page=1234' END
               FROM p),
-            q AS (SELECT url,
-              CASE WHEN regexp_matches(url, '\.(?:jpe?g|png|gif|bmp|tiff?|webp|mp[34]|avi|mov|zip|gz|exe|dmg)(?:$|\?)') THEN 0
-                   WHEN regexp_matches(url, '[?&](?:sessionid|sid|phpsessid)=') THEN 1
-                   WHEN regexp_matches(url, '/calendar/\d{{4}}/\d{{2}}/\d{{2}}') THEN 2
-                   WHEN regexp_matches(url, '[?&]page=\d{{3,}}') THEN 3
-                   ELSE -1 END AS rule_idx
-              FROM v)
+            q AS (SELECT url, {_URL_RULE_IDX_SQL} AS rule_idx FROM v)
             SELECT url, cast(rule_idx AS BIGINT) AS rule_idx,
                    'rejected' AS status
             FROM q WHERE rule_idx >= 0 ORDER BY url""",

@@ -4,9 +4,10 @@ The reference's ~400-LoC ``navigate_document`` (app.py:1440-1842) is a
 stateful cursor over the per-page structure tree with clamped
 next/previous/goto for each axis (page app.py:1500-1505, paragraph
 app.py:1637-1642, sentence app.py:1721-1726, column app.py:1789-1795).
-In the engine the structure is materialized as nested Arrow columns, so
-navigation is pure O(1) indexing — provided here as a thin view helper for
-API parity and exercised by the span-consistency tests.
+In the engine each row stores its structure once, as char spans into
+``extracted_text``; ``structure_view`` rebuilds the reference's nested
+paragraph/sentence dicts from them, and navigation over that view is O(1)
+indexing.
 """
 
 from __future__ import annotations
@@ -51,28 +52,40 @@ def suggested_actions(num_paragraphs: int, num_columns: int, total_sentences: in
     return actions
 
 
-class NavigationView:
-    """Read-only cursor over one extracted row's nested structure columns.
+def structure_view(extracted_text: str, spans, paragraphs) -> list[dict]:
+    """One row's structure as the reference's nested dicts (app.py:903-944):
+    ``[{"id", "bounds", "text", "column", "sentences": [{"id", "text"}]}]``.
 
-    ``paragraphs`` is the engine's list<struct> column value for one row:
-    ``[{"id", "bounds", "text", "column", "sentences": [{"id","text"}]}]``.
+    Paragraph and sentence texts are sliced out of ``extracted_text`` by the
+    row's spans; a paragraph without a span (the row's kernel text disagreed
+    with its paragraphs) reads as empty. ``spans`` and ``paragraphs`` are the
+    row's column values, as lists or numpy object arrays.
+    """
+    texts: dict[int, str] = {}
+    sentences: dict[int, list[dict]] = {}
+    for s in (spans if spans is not None else ()):
+        seg = extracted_text[s["start"]:s["end"]]
+        if s["kind"] == "paragraph":
+            texts[s["para_id"]] = seg
+        else:
+            sentences.setdefault(s["para_id"], []).append({"id": s["sent_id"], "text": seg})
+    return [{"id": p["id"], "bounds": p["bounds"], "text": texts.get(p["id"], ""),
+             "column": p["column"], "sentences": sentences.get(p["id"], [])}
+            for p in (paragraphs if paragraphs is not None else ())]
+
+
+class NavigationView:
+    """Read-only cursor over one extracted row's structure.
+
+    Built from the row's ``extracted_text``, ``spans``, ``paragraphs`` and
+    ``columns`` values; ``self.paragraphs`` is their ``structure_view``.
     Replaces the reference's SESSION_CACHE 'current' cursor
     (app.py:264-271) — state lives in this view object, data in the row.
     """
 
-    def __init__(self, paragraphs, columns):
-        # accept list / numpy object array / arrow-scalar conversions, and
-        # normalize nested sequences to plain lists
-        self.paragraphs = []
-        for p in (paragraphs if paragraphs is not None else []):
-            p = dict(p)
-            p["sentences"] = [dict(s) for s in (p.get("sentences") if p.get("sentences") is not None else [])]
-            self.paragraphs.append(p)
-        self.columns = []
-        for c in (columns if columns is not None else []):
-            c = dict(c)
-            c["paragraphs"] = list(c.get("paragraphs") if c.get("paragraphs") is not None else [])
-            self.columns.append(c)
+    def __init__(self, extracted_text: str, spans, paragraphs, columns):
+        self.paragraphs = structure_view(extracted_text, spans, paragraphs)
+        self.columns = list(columns) if columns is not None else []
         self.cursor = {"paragraph": 0, "sentence": 0, "column": 0}
 
     def step(self, axis: str, action: str, target: int | None = None) -> dict:
@@ -113,7 +126,8 @@ class NavigationView:
         raise ValueError(f"unknown navigation axis: {axis!r}")
 
 
-def scope_text(paragraphs, columns, scope: str, index: int = 0) -> str:
+def scope_text(extracted_text: str, spans, paragraphs, columns, scope: str,
+               index: int = 0) -> str:
     """Summarize-scope text selection (app.py:1893-2011).
 
     'full' → all paragraph texts joined with blank lines (app.py:1905-1906);
@@ -123,7 +137,7 @@ def scope_text(paragraphs, columns, scope: str, index: int = 0) -> str:
     in the engine that is a per-page row (pages_ops.explode_pdf_pages), so
     page scope is row selection, not an in-row walk.
     """
-    view = NavigationView(paragraphs, columns)
+    view = NavigationView(extracted_text, spans, paragraphs, columns)
     if scope == "full":
         return "\n\n".join(p["text"] for p in view.paragraphs)
     if scope == "paragraph":

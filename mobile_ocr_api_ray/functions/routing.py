@@ -1,17 +1,15 @@
-"""M9 — quality/mode routing as vectorized Arrow columns (SURVEY.md §2.2 M9).
+"""M9 — quality/mode routing (SURVEY.md §2.2 M9).
 
 The reference maps the request-level ``quality`` parameter to a preprocess
 kernel, an OCR mode, and image-downscale parameters via inline conditionals
 (app2.py:551-558 preprocess/mode routing, app2.py:215-223 resize tiers,
 app2.py:844-845 validation defaulting to 'medium'). Here that becomes one
-table-driven projection applied per batch, emitting ``preprocess_kind`` /
-``ocr_mode`` / ``max_dim`` / ``jpeg_quality`` columns.
+table, ``QUALITY_PARAMS``, giving ``preprocess_kind`` / ``ocr_mode`` /
+``max_dim`` / ``jpeg_quality`` per tier, plus the per-row
+``kernel_config`` parser that refines them.
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pyarrow as pa
 
 # quality -> (preprocess_kind, ocr_mode, max_dim, jpeg_quality)
 # preprocess/mode: app2.py:551-558; max_dim/jpeg_quality: app2.py:215-223.
@@ -32,27 +30,6 @@ def route_quality(quality: str) -> tuple[str, str, int, int]:
     if quality not in _VALID:
         quality = "medium"
     return QUALITY_PARAMS[quality]
-
-
-def add_routing_columns(batch: pa.Table, quality_col: str = "quality") -> pa.Table:
-    """Vectorized projection: append preprocess_kind / ocr_mode / max_dim /
-    jpeg_quality columns derived from ``quality`` (or constant 'medium' when
-    the column is absent)."""
-    n = batch.num_rows
-    if quality_col in batch.column_names:
-        q = batch[quality_col].to_numpy(zero_copy_only=False)
-        q = np.array([x if x in _VALID else "medium" for x in q], dtype=object)
-    else:
-        q = np.full(n, "medium", dtype=object)
-    pk = np.array([QUALITY_PARAMS[x][0] for x in q], dtype=object)
-    om = np.array([QUALITY_PARAMS[x][1] for x in q], dtype=object)
-    md = np.array([QUALITY_PARAMS[x][2] for x in q], dtype=np.int32)
-    jq = np.array([QUALITY_PARAMS[x][3] for x in q], dtype=np.int32)
-    batch = batch.append_column("preprocess_kind", pa.array(pk, type=pa.string()))
-    batch = batch.append_column("ocr_mode", pa.array(om, type=pa.string()))
-    batch = batch.append_column("max_dim", pa.array(md, type=pa.int32()))
-    batch = batch.append_column("jpeg_quality", pa.array(jq, type=pa.int32()))
-    return batch
 
 
 # kernel_config passthrough (reference app.py:567,580-581: the raw

@@ -50,9 +50,10 @@ def score_sentences(sentences: list[str], stop_words=STOP_WORDS) -> list[float]:
     score = sum(norm_freq of its tokens present in word_freq) / len(tokens);
     x1.25 position bonus when i < 0.2*n or i > 0.8*n. All Python floats.
     """
+    tokens = [_WORD.findall(sentence.lower()) for sentence in sentences]
     word_freq: dict[str, float] = defaultdict(int)
-    for sentence in sentences:
-        for word in _WORD.findall(sentence.lower()):
+    for words in tokens:
+        for word in words:
             if word not in stop_words:
                 word_freq[word] += 1
 
@@ -61,8 +62,7 @@ def score_sentences(sentences: list[str], stop_words=STOP_WORDS) -> list[float]:
 
     scores: list[float] = []
     n = len(sentences)
-    for i, sentence in enumerate(sentences):
-        words = _WORD.findall(sentence.lower())
+    for i, words in enumerate(tokens):
         score = 0
         for word in words:
             if word in word_freq:

@@ -341,7 +341,8 @@ def pdf_page_rows(sf_dir: str):
 
 def doc_structure_stats(sf_dir: str):
     """M8 structure analysis rollup: per-document paragraph/column/sentence/
-    span counts from the nested structure columns the extractor emits."""
+    span counts from the structure columns the extractor emits (sentences
+    are the rows' sentence spans)."""
     d = _pages_dir_for(sf_dir)
     out = extract_pipeline(read_pages(os.path.join(d, "pages.parquet")),
                            with_summary=False, build_spans=True)
@@ -350,7 +351,7 @@ def doc_structure_stats(sf_dir: str):
         paras = batch["paragraphs"].to_pylist()
         cols = batch["columns"].to_pylist()
         spans = batch["spans"].to_pylist()
-        n_sent = [sum(len(p["sentences"]) for p in ps) if ps else 0 for ps in paras]
+        n_sent = [sum(s["kind"] == "sentence" for s in ss) if ss else 0 for ss in spans]
         return pa.table({
             "url": batch["url"],
             "n_paragraphs": pa.array([len(p) if p else 0 for p in paras], pa.int64()),

@@ -22,20 +22,14 @@ PAGES_SCHEMA = pa.schema(
     ]
 )
 
-SENTENCE_TYPE = pa.struct([("id", pa.int32()), ("text", pa.string())])
-
 BOUNDS_TYPE = pa.struct(
     [("x", pa.int32()), ("y", pa.int32()), ("width", pa.int32()), ("height", pa.int32())]
 )
 
+# Paragraph and sentence texts are not stored: ``spans`` is the one copy of
+# the structure, read back through functions.navigation.structure_view.
 PARAGRAPH_TYPE = pa.struct(
-    [
-        ("id", pa.int32()),
-        ("bounds", BOUNDS_TYPE),
-        ("text", pa.string()),
-        ("column", pa.int32()),
-        ("sentences", pa.list_(SENTENCE_TYPE)),
-    ]
+    [("id", pa.int32()), ("bounds", BOUNDS_TYPE), ("column", pa.int32())]
 )
 
 COLUMN_TYPE = pa.struct([("id", pa.int32()), ("paragraphs", pa.list_(pa.int32()))])
@@ -79,7 +73,3 @@ EXTRACTED_SCHEMA = pa.schema(
         pa.field("error", pa.string()),
     ]
 )
-
-
-def empty_extracted_table() -> pa.Table:
-    return EXTRACTED_SCHEMA.empty_table()

@@ -19,9 +19,12 @@ Per row, it reproduces the reference request lifecycle as data:
 3. kernel dispatch by kind: HTML → text-density/link-density boilerplate
    strip; IMGX → optimize→binarize→deskew→segment→recognize; PDFX → per-
    page image kernel + ordered "\\n\\n" join (app.py:755-791).
-4. structure: paragraphs (with bounds + sentences), columns, char-span
-   offsets, suggested actions (M8/F8) — eager, per row, making the
-   reference's lazy navigate-time analysis (app.py:1508-1547) a no-op.
+4. structure (M8/F8), eager per row: char-span offsets of every paragraph
+   and sentence into ``extracted_text`` — the only stored copy of the
+   structure text — plus paragraph bounds/columns, column membership and
+   suggested actions. ``functions.navigation.structure_view`` turns the
+   spans back into the reference's nested paragraph/sentence dicts, the
+   navigate-time analysis of app.py:1508-1547.
 5. per-row error isolation (M11): a failing row degrades exactly as the
    reference does — error string in the text field, confidence 0
    (app.py:602) — and never poisons its batch.
@@ -64,54 +67,53 @@ def sniff_kind(payload: bytes | None) -> str:
     return "unknown"
 
 
-def build_structure(paragraph_dicts: list[dict]) -> tuple[str, list, list, list, list]:
-    """Assemble (extracted_text, paragraphs, columns, spans, actions) from raw
-    paragraph dicts: [{text, x, y, width, height, column}].
+def build_structure(text: str, paragraph_dicts: list[dict]) -> tuple[list, list, list, list]:
+    """Assemble (paragraphs, columns, spans, actions) for a kernel's
+    ``text`` from its raw paragraph dicts: [{text, x, y, width, height, column}].
 
-    extracted_text = paragraph texts joined with "\\n\\n"; sentence ids are the
-    reference's per-paragraph enumeration (app.py:903-909); spans are char
-    offsets into extracted_text; columns group paragraph ids (app.py:934-944);
-    actions follow F8 (app.py:980-1007).
+    Spans are char offsets into ``text``, one per paragraph and one per
+    sentence (the reference's per-paragraph enumeration, app.py:903-909).
+    Each paragraph is located in ``text`` after the previous one, so the
+    separators are whatever the kernel joined with (a blank PDFX page
+    leaves "\\n\\n\\n\\n"). If a paragraph cannot be located — a user
+    kernel whose text disagrees with its paragraphs — the row keeps no
+    spans. Columns group paragraph ids (app.py:934-944); actions follow F8
+    (app.py:980-1007).
     """
     paragraphs, spans = [], []
     col_members: dict[int, list[int]] = {}
-    offset = 0
+    cursor = 0
+    located = True
     total_sentences = 0
-    texts = []
     for pid, p in enumerate(paragraph_dicts):
-        text = p["text"]
+        ptext = p["text"]
         col = int(p.get("column", 0))
-        start = offset
-        end = start + len(text)
-        sentences = []
-        s_cursor = 0
-        for sid, s in enumerate(split_into_sentences(text)):
-            pos = text.find(s, s_cursor)
-            if pos < 0:
-                pos = s_cursor
-            sentences.append({"id": sid, "text": s})
-            spans.append({"kind": "sentence", "start": start + pos,
-                          "end": start + pos + len(s), "para_id": pid,
-                          "sent_id": sid, "column": col})
-            s_cursor = pos + len(s)
+        sentences = split_into_sentences(ptext)
         total_sentences += len(sentences)
-        spans.append({"kind": "paragraph", "start": start, "end": end,
-                      "para_id": pid, "sent_id": -1, "column": col})
+        start = text.find(ptext, cursor) if located else -1
+        located = start >= 0
+        if located:
+            s_cursor = 0
+            for sid, s in enumerate(sentences):
+                pos = ptext.find(s, s_cursor)
+                spans.append({"kind": "sentence", "start": start + pos,
+                              "end": start + pos + len(s), "para_id": pid,
+                              "sent_id": sid, "column": col})
+                s_cursor = pos + len(s)
+            cursor = start + len(ptext)
+            spans.append({"kind": "paragraph", "start": start, "end": cursor,
+                          "para_id": pid, "sent_id": -1, "column": col})
         paragraphs.append({
             "id": pid,
             "bounds": {"x": int(p.get("x", 0)), "y": int(p.get("y", 0)),
-                       "width": int(p.get("width", len(text))),
+                       "width": int(p.get("width", len(ptext))),
                        "height": int(p.get("height", 1))},
-            "text": text,
             "column": col,
-            "sentences": sentences,
         })
         col_members.setdefault(col, []).append(pid)
-        texts.append(text)
-        offset = end + len(PAGE_JOIN)
     columns = [{"id": c, "paragraphs": ids} for c, ids in sorted(col_members.items())]
     actions = suggested_actions(len(paragraphs), len(columns), total_sentences)
-    return PAGE_JOIN.join(texts), paragraphs, columns, spans, actions
+    return paragraphs, columns, spans if located else [], actions
 
 
 def html_paragraph_dicts(kept_blocks: list[dict]) -> list[dict]:
@@ -248,11 +250,11 @@ class ExtractorActor:
             if hit is not None:
                 self._lru.move_to_end(key)
                 return hit
-        self.kernel_invocations += 1
         ctx = dict(self._ctx)
         ctx["lang"] = lang  # per-row -l routing (app.py:567,1127)
         if config:
             ctx.update(parse_kernel_config(config))  # bad config raises → M11
+        self.kernel_invocations += 1
         result = self._kernels[kind](payload, ctx)
         if key is not None:
             self._lru[key] = result
@@ -294,17 +296,11 @@ class ExtractorActor:
                 return row
             text, conf, para_dicts, total_pages = self._extract_payload(
                 payload, kind, lang, config)
+            row["extracted_text"] = text
             if self.build_spans:
-                text2, paragraphs, columns, spans, actions = build_structure(para_dicts)
-                # structure text and kernel text agree by construction (every
-                # paragraph survives into the join); if a future kernel ever
-                # diverges, keep the kernel text and drop the now-invalid spans
-                if text2 != text:
-                    spans = []
-                row.update(extracted_text=text, spans=spans, paragraphs=paragraphs,
-                           columns=columns, suggested_actions=actions)
-            else:
-                row["extracted_text"] = text
+                paragraphs, columns, spans, actions = build_structure(text, para_dicts)
+                row.update(spans=spans, paragraphs=paragraphs, columns=columns,
+                           suggested_actions=actions)
             row["confidence"] = conf
             row["total_pages"] = total_pages
             if self.build_visualization and kind in ("image", "pdf"):

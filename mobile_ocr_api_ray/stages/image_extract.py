@@ -96,6 +96,8 @@ def _otsu_threshold(img: np.ndarray) -> float:
     total = hist.sum()
     if total == 0:
         return 127.0
+    if np.count_nonzero(hist) == 1:
+        return 0.0  # one intensity: no split exists; OpenCV's THRESH_OTSU gives 0
     omega = np.cumsum(hist) / total
     mu = np.cumsum(hist * np.arange(256)) / total
     mu_t = mu[-1]

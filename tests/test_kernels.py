@@ -1,12 +1,16 @@
 """Kernel-level tests: HTML block extraction, bitmap OCR, structure rules."""
 
+import os
 import random
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from mobile_ocr_api_ray import corpus
+from mobile_ocr_api_ray.functions.navigation import structure_view
+from mobile_ocr_api_ray.functions.textproc import split_into_sentences
 from mobile_ocr_api_ray.stages import glyphs, image_extract as ie
 from mobile_ocr_api_ray.stages.extractor import ExtractorActor, build_structure, sniff_kind
 from mobile_ocr_api_ray.stages.html_extract import extract_html, segment_blocks
@@ -147,6 +151,16 @@ class TestPayloads:
         assert glyphs.decode_pdfx(glyphs.encode_pdfx(pages)) == pages
 
 
+def _blank_page_pdf() -> tuple[bytes, str]:
+    """PDFX [text, blank, text] and its expected text: the blank page adds
+    an empty page text to the reference's "\\n\\n" join (app.py:791)."""
+    rng = random.Random("blank:1")
+    p1, g1, _, _ = corpus._make_image(rng, scale=3, n_paras=2)
+    p2, g2, _, _ = corpus._make_image(rng, scale=3, n_paras=1)
+    blank = glyphs.encode_imgx(np.full((200, 300), 255, np.uint8))
+    return glyphs.encode_pdfx([p1, blank, p2]), "\n\n".join([g1, "", g2])
+
+
 class TestStructure:
     def test_spans_reconstruct_text(self):
         rng = random.Random("s:1")
@@ -155,13 +169,53 @@ class TestStructure:
         row = ex.extract_row("u", payload, None, "eng")
         text = row["extracted_text"]
         assert text == golden
-        for span in row["spans"]:
-            seg = text[span["start"]:span["end"]]
-            if span["kind"] == "paragraph":
-                assert seg == row["paragraphs"][span["para_id"]]["text"]
-            else:
-                p = row["paragraphs"][span["para_id"]]
-                assert seg == p["sentences"][span["sent_id"]]["text"]
+        view = structure_view(text, row["spans"], row["paragraphs"])
+        assert [p["text"] for p in view] == golden.split("\n\n")
+        for p in view:
+            assert [s["text"] for s in p["sentences"]] == split_into_sentences(p["text"])
+
+    def test_view_matches_kernel_paragraphs(self, small_corpus):
+        """Differential: for every corpus row plus a PDFX with a blank page,
+        the view over the stored spans equals the nested dicts built
+        straight from the kernel's raw paragraphs and the F1 split."""
+        pages = pq.read_table(os.path.join(small_corpus, "pages.parquet"))
+        pdf, _ = _blank_page_pdf()
+        pages = pa.concat_tables([pages, pa.table({
+            "url": ["blank-page.pdf"], "warc_ts": pages["warc_ts"][:1],
+            "html": pa.array([pdf], pa.binary()), "text": [None],
+            "lang": ["eng"]}).cast(pages.schema)])
+        ex = ExtractorActor()
+        rows = ex(pages).to_pylist()
+        n_kernel = 0
+        for row, payload, lang in zip(rows, pages["html"].to_pylist(),
+                                      pages["lang"].to_pylist()):
+            expected = []
+            if row["source"] == "kernel" and row["status"] == "ok":
+                n_kernel += 1
+                _, _, raw, _ = ex._extract_payload(payload, row["payload_kind"], lang)
+                expected = [{"id": i,
+                             "bounds": {k: p[k] for k in ("x", "y", "width", "height")},
+                             "text": p["text"], "column": p["column"],
+                             "sentences": [{"id": j, "text": s} for j, s in
+                                           enumerate(split_into_sentences(p["text"]))]}
+                            for i, p in enumerate(raw)]
+            assert all(set(p) == {"id", "bounds", "column"} for p in row["paragraphs"])
+            view = structure_view(row["extracted_text"], row["spans"], row["paragraphs"])
+            assert view == expected, row["url"]
+        assert n_kernel > 200 and rows[-1]["total_pages"] == 3
+
+    def test_unlocatable_paragraph_drops_spans(self):
+        """A user kernel whose text does not contain its paragraphs keeps
+        its text and paragraph geometry but stores no spans."""
+        def kernel(payload, ctx):
+            return "kernel text", 50.0, [{"text": "other words", "column": 0}], 1
+
+        row = ExtractorActor(kernels={"html": kernel}).extract_row(
+            "u", b"<p>x</p>", None, "eng")
+        assert row["status"] == "ok" and row["extracted_text"] == "kernel text"
+        assert row["spans"] == [] and len(row["paragraphs"]) == 1
+        view = structure_view(row["extracted_text"], row["spans"], row["paragraphs"])
+        assert view[0]["text"] == "" and view[0]["sentences"] == []
 
     def test_column_membership_consistent(self):
         rng = random.Random("s:2")
@@ -174,11 +228,39 @@ class TestStructure:
                 assert row["paragraphs"][pid]["column"] == col["id"]
 
     def test_suggested_actions_from_structure(self):
-        _, paragraphs, columns, spans, actions = build_structure(
-            [{"text": "One. Two. Three. Four. Five. Six.", "column": 0}])
+        text = "One. Two. Three. Four. Five. Six."
+        _, _, _, actions = build_structure(text, [{"text": text, "column": 0}])
         types = [a["type"] for a in actions]
         assert "summarize" in types and "read_full" in types
         assert "read_by_paragraph" not in types
+
+
+class TestBlankPages:
+    """A single-intensity page has a one-level histogram, where Otsu finds
+    no split; the threshold is OpenCV's 0 and the page reads as empty."""
+
+    @pytest.mark.parametrize("value", [255, 0, 128])
+    def test_blank_imgx_is_ok_and_empty(self, value):
+        payload = glyphs.encode_imgx(np.full((200, 300), value, np.uint8))
+        row = ExtractorActor().extract_row("u", payload, None, "eng")
+        assert row["status"] == "ok", row["error"]
+        assert row["extracted_text"] == ""
+
+    def test_pdf_with_blank_page(self):
+        payload, expected = _blank_page_pdf()
+        row = ExtractorActor().extract_row("u", payload, None, "eng")
+        assert row["status"] == "ok", row["error"]
+        assert row["extracted_text"] == expected
+        assert "\n\n\n\n" in expected
+        view = structure_view(row["extracted_text"], row["spans"], row["paragraphs"])
+        assert [p["text"] for p in view] == [t for t in expected.split("\n\n") if t]
+        for span in row["spans"]:
+            seg = row["extracted_text"][span["start"]:span["end"]]
+            p = view[span["para_id"]]
+            if span["kind"] == "paragraph":
+                assert seg == p["text"]
+            else:
+                assert seg == p["sentences"][span["sent_id"]]["text"]
 
 
 class TestOcrModeRouting:
@@ -286,11 +368,12 @@ class TestKernelConfig:
             "html": pa.array([p, p], pa.binary()),
             "kernel_config": pa.array(
                 ["tessedit_do_invert", None], pa.string())})
-        df = ExtractorActor(quality="medium")(batch).to_pandas() \
-            .set_index("url")
+        act = ExtractorActor(quality="medium")
+        df = act(batch).to_pandas().set_index("url")
         assert df.loc["bad"].status == "error"
         assert "kernel_config" in df.loc["bad"].error
         assert df.loc["good"].status == "ok"
+        assert act.kernel_invocations == 1  # the bad row never reached a kernel
 
     def test_parse_kernel_config(self):
         from mobile_ocr_api_ray.functions.routing import parse_kernel_config

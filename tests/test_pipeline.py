@@ -8,6 +8,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from mobile_ocr_api_ray.functions.navigation import NavigationView
+from mobile_ocr_api_ray.functions.textproc import split_into_sentences
 from mobile_ocr_api_ray.pipelines.extract import (
     extract_pipeline,
     extract_pipeline_dedup,
@@ -104,28 +105,32 @@ class TestNavigation:
     def test_navigation_walk(self, extracted):
         rows = extracted[(extracted.status == "ok") & (extracted.source == "kernel")]
         row = rows[rows.paragraphs.map(len) > 1].iloc[0]
-        nav = NavigationView(list(row.paragraphs), list(row.columns))
-        assert nav.current_text("paragraph") == row.paragraphs[0]["text"]
+        # kernel paragraphs hold no blank line, so the text splits back into them
+        ptexts = row.extracted_text.split("\n\n")
+        assert len(ptexts) == len(row.paragraphs)
+        nav = NavigationView(row.extracted_text, row.spans, row.paragraphs, row.columns)
+        assert nav.current_text("paragraph") == ptexts[0]
         nav.step("paragraph", "next")
-        assert nav.current_text("paragraph") == row.paragraphs[1]["text"]
+        assert nav.current_text("paragraph") == ptexts[1]
         nav.step("paragraph", "goto", 9999)
         assert nav.cursor["paragraph"] == len(row.paragraphs) - 1
         nav.step("paragraph", "goto", 0)
         sent = nav.current_text("sentence")
-        assert sent == row.paragraphs[0]["sentences"][0]["text"]
+        assert sent == split_into_sentences(ptexts[0])[0]
 
     def test_scope_text(self, extracted):
         from mobile_ocr_api_ray.functions.navigation import scope_text
         rows = extracted[(extracted.status == "ok") & (extracted.source == "kernel")]
         row = rows[rows.paragraphs.map(len) > 1].iloc[0]
-        paras, cols = list(row.paragraphs), list(row.columns)
+        structure = (row.extracted_text, row.spans, row.paragraphs, row.columns)
+        ptexts = row.extracted_text.split("\n\n")
         # full scope reproduces extracted_text (paragraph join invariant)
-        assert scope_text(paras, cols, "full") == row.extracted_text
-        assert scope_text(paras, cols, "paragraph", 1) == row.paragraphs[1]["text"]
-        assert scope_text(paras, cols, "paragraph", 9999) == row.paragraphs[-1]["text"]
-        col0 = scope_text(paras, cols, "column", 0)
+        assert scope_text(*structure, "full") == row.extracted_text
+        assert scope_text(*structure, "paragraph", 1) == ptexts[1]
+        assert scope_text(*structure, "paragraph", 9999) == ptexts[-1]
+        col0 = scope_text(*structure, "column", 0)
         ids = row.columns[0]["paragraphs"]
-        assert col0 == "\n\n".join(row.paragraphs[i]["text"] for i in ids)
+        assert col0 == "\n\n".join(ptexts[i] for i in ids)
 
 
 class TestSkewAware:
