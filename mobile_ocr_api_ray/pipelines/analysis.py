@@ -160,6 +160,27 @@ def compressibility_docs(sf_dir: str):
         .sort("doc_id")
 
 
+def _fresh_scratch_dir(base: str, sf_dir: str) -> str:
+    """An empty ``base/n<docs>_p<pid>`` export directory. Per-process
+    dirs keep concurrent sessions (bench + oracle runner) from rmtree-ing
+    each other mid-export, and digests are content-derived so determinism
+    is unaffected; dirs of exited processes are reaped here, else they
+    would accumulate."""
+    import shutil
+
+    n_docs = pq.read_metadata(
+        os.path.join(sf_dir, "documents.parquet")).num_rows
+    out_dir = f"{base}/n{n_docs}_p{os.getpid()}"
+    if os.path.isdir(base):
+        for d in os.listdir(base):
+            pid = d.rsplit("_p", 1)[-1]
+            if pid.isdigit() and int(pid) != os.getpid() \
+                    and not os.path.exists(f"/proc/{pid}"):
+                shutil.rmtree(os.path.join(base, d), ignore_errors=True)
+    shutil.rmtree(out_dir, ignore_errors=True)
+    return out_dir
+
+
 def training_shards_manifest(sf_dir: str):
     """Sharded training-data export end to end: documents → 16
     deterministic md5-hash shards under /tmp, one atomic parquet +
@@ -168,26 +189,9 @@ def training_shards_manifest(sf_dir: str):
     call (scratch dir wiped) so the digests pin byte-determinism of the
     whole write path; resume-after-preemption is exercised separately in
     tests/test_training_export.py."""
-    import shutil
-
     from ..state import manifest as mstate
 
-    n_docs = pq.read_metadata(
-        os.path.join(sf_dir, "documents.parquet")).num_rows
-    # per-process dir: concurrent sessions (bench + oracle runner) must
-    # not rmtree each other mid-export; digests are content-derived so
-    # determinism is unaffected
-    base = "/tmp/mobile_ocr_training_shards"
-    out_dir = f"{base}/n{n_docs}_p{os.getpid()}"
-    # reap scratch dirs left by exited processes (per-PID isolation keeps
-    # concurrent runs safe; dead owners' dirs would otherwise accumulate)
-    if os.path.isdir(base):
-        for d in os.listdir(base):
-            pid = d.rsplit("_p", 1)[-1]
-            if pid.isdigit() and int(pid) != os.getpid() \
-                    and not os.path.exists(f"/proc/{pid}"):
-                shutil.rmtree(os.path.join(base, d), ignore_errors=True)
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _fresh_scratch_dir("/tmp/mobile_ocr_training_shards", sf_dir)
     mstate.export_training_shards(_docs(sf_dir, ["doc_id", "text"]),
                                   out_dir, n_shards=16)
     t = mstate.shard_manifest_table(out_dir)
@@ -205,21 +209,9 @@ def compacted_shards_manifest(sf_dir: str):
     row-level equality with the uncompacted export, exact resume, and
     the target-bytes packing invariant are pinned in
     tests/test_training_export.py::TestCompaction."""
-    import shutil
-
     from ..state import manifest as mstate
 
-    n_docs = pq.read_metadata(
-        os.path.join(sf_dir, "documents.parquet")).num_rows
-    base = "/tmp/mobile_ocr_compact"
-    root = f"{base}/n{n_docs}_p{os.getpid()}"
-    if os.path.isdir(base):
-        for d in os.listdir(base):
-            pid = d.rsplit("_p", 1)[-1]
-            if pid.isdigit() and int(pid) != os.getpid() \
-                    and not os.path.exists(f"/proc/{pid}"):
-                shutil.rmtree(os.path.join(base, d), ignore_errors=True)
-    shutil.rmtree(root, ignore_errors=True)
+    root = _fresh_scratch_dir("/tmp/mobile_ocr_compact", sf_dir)
     out_dir = os.path.join(root, "export")
     mstate.export_training_shards(_docs(sf_dir, ["doc_id", "text"]),
                                   out_dir, n_shards=16)
@@ -238,21 +230,9 @@ def jsonl_export_manifest(sf_dir: str):
     .export_jsonl_shards, returning the lineage manifest. Byte-determinism
     of the gz shards and the read_table_auto ROUND TRIP are pinned in
     tests/test_training_export.py::TestJsonlExport."""
-    import shutil
-
     from ..state import manifest as mstate
 
-    n_docs = pq.read_metadata(
-        os.path.join(sf_dir, "documents.parquet")).num_rows
-    base = "/tmp/mobile_ocr_jsonl_shards"
-    out_dir = f"{base}/n{n_docs}_p{os.getpid()}"
-    if os.path.isdir(base):
-        for d in os.listdir(base):
-            pid = d.rsplit("_p", 1)[-1]
-            if pid.isdigit() and int(pid) != os.getpid() \
-                    and not os.path.exists(f"/proc/{pid}"):
-                shutil.rmtree(os.path.join(base, d), ignore_errors=True)
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _fresh_scratch_dir("/tmp/mobile_ocr_jsonl_shards", sf_dir)
     mstate.export_jsonl_shards(_docs(sf_dir, ["doc_id", "text"]),
                                out_dir, n_shards=16)
     t = mstate.shard_manifest_table(out_dir)

@@ -273,14 +273,15 @@ def extract_pipeline_dedup(ds: "ray.data.Dataset", quality: str = "medium",
 
 SMALL_SHARD_BYTES = 32 << 20
 
+# The pages columns extraction reads: ``warc_ts`` is carried as data but
+# unused by extraction (SURVEY.md §2.9), so it never leaves storage.
+PAGES_COLUMNS = ["url", "html", "text", "lang"]
+
 
 def read_pages(path: str | list[str], columns: list[str] | None = None,
                override_num_blocks: int | None = None) -> "ray.data.Dataset":
-    """Column-pruned read of a pages table (file, directory, or file list).
-
-    ``warc_ts`` is carried as data but unused by extraction (SURVEY.md §2.9),
-    so the default projection drops it at the read — only needed columns
-    leave storage.
+    """Column-pruned read of a pages table (file, directory, or file list);
+    the default projection is ``PAGES_COLUMNS``.
 
     For many SMALL shards, the block count is pinned to the file count:
     Ray's default block sizing otherwise appends a SplitBlocks stage that
@@ -314,5 +315,5 @@ def read_pages(path: str | list[str], columns: list[str] | None = None,
                     if _ray.is_initialized() else 32
                 override_num_blocks = min(len(files),
                                           max(2 * cpus, rows // 300))
-    return ray.data.read_parquet(path, columns=columns or ["url", "html", "text", "lang"],
+    return ray.data.read_parquet(path, columns=columns or PAGES_COLUMNS,
                                  override_num_blocks=override_num_blocks)

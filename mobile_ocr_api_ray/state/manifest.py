@@ -1,21 +1,28 @@
 """Checkpointed partition outputs with lineage manifests (SURVEY.md §4).
 
 Re-expresses the reference's session/result cache (SESSION_CACHE
-app.py:235-314, results-by-task_id app2.py:933-965) as durable data: the
-input is split into deterministic url-hash partitions; each partition's
-extraction output is written atomically (temp dir → rename) together with a
-manifest row::
+app.py:235-314, results-by-task_id app2.py:933-965) as durable data: each
+partition's output is written atomically (temp file → rename) together with
+a manifest row::
 
-    (partition_id, input_shard, row_range, content_digest, row_count,
+    (partition_id, input_shard, row_range, plan, content_digest, row_count,
      bytes, wall_ms, docs_per_s)
 
 Resume = read the manifest directory, skip completed partitions, process
 the rest — exact recovery after preemption, which the reference's in-memory
-caches never survived (server restart loses everything, app.py:237).
+caches never survived (server restart loses everything, app.py:237). A
+resume under a different plan is refused, since its partitions would
+overlap the ones already on disk.
 
-Partitioning is by ``crc32(url) % n_partitions`` — deterministic across
-runs and near-uniform (url-hash skew guidance, SURVEY.md §4) — so a resumed
-run reproduces byte-identical partition contents.
+A flagship checkpoint partition is a contiguous range of input rows: with
+the pages files taken in name order and N rows in all, partition i holds
+rows ``[i·N//n, (i+1)·N//n)``, its manifest's ``row_range``, and ``plan`` is
+``{input_rows: N, n_partitions: n}``. The plan comes from the parquet footers
+alone, and each partition is one task that reads, extracts and commits its
+own range, so there is no exchange and a resumed run reproduces
+byte-identical partition contents. The exports shard by
+``md5-hash32(key) % n_shards`` instead, because their input is any Dataset;
+their ``plan`` is ``{n_shards: n}`` and ``row_range`` the key range.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ def partition_of(urls: list[str], n_partitions: int) -> list[int]:
 
 
 def add_partition_column(batch: pa.Table, n_partitions: int) -> pa.Table:
-    # same crc32 % n as partition_of, via the shared buffer-slice helper
+    # same crc32 % n as partition_of, via the shared buffer-slice helper;
+    # kept for the url-hash checkpoint mirror in perfbench/tracing.py
     from ..str_hash import str_coarse
     parts = str_coarse(batch["url"], n_partitions)
     return batch.append_column("partition_id", pa.array(parts))
@@ -48,132 +56,193 @@ def _manifest_path(out_dir: str, partition_id: int) -> str:
     return os.path.join(out_dir, "_manifest", f"part-{partition_id:05d}.json")
 
 
-def completed_partitions(out_dir: str) -> set[int]:
+def _read_manifest(path: str) -> dict | None:
+    """The manifest at ``path`` if it is complete; None if it is missing,
+    torn or incomplete, so its partition counts as not done."""
+    try:
+        with open(path) as fh:
+            m = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return m if isinstance(m, dict) and m.get("status") == "complete" else None
+
+
+def _complete_manifests(out_dir: str) -> list:
+    """All complete manifest rows under ``out_dir``, sorted by partition
+    id — bounded metadata (one row per partition), never corpus-scale."""
     mdir = os.path.join(out_dir, "_manifest")
-    if not os.path.isdir(mdir):
-        return set()
-    done = set()
-    for f in os.listdir(mdir):
-        if f.startswith("part-") and f.endswith(".json"):
-            try:
-                with open(os.path.join(mdir, f)) as fh:
-                    m = json.load(fh)
-                if m.get("status") == "complete":
-                    done.add(int(m["partition_id"]))
-            except (json.JSONDecodeError, KeyError, ValueError):
-                continue  # torn write → partition treated as incomplete
-    return done
+    names = sorted(os.listdir(mdir)) if os.path.isdir(mdir) else []
+    rows = [_read_manifest(os.path.join(mdir, f)) for f in names
+            if f.startswith("part-") and f.endswith(".json")]
+    return sorted((m for m in rows if m), key=lambda m: m["partition_id"])
+
+
+def completed_partitions(out_dir: str) -> set[int]:
+    return {int(m["partition_id"]) for m in _complete_manifests(out_dir)}
+
+
+def _completed_under(out_dir: str, plan: dict) -> set[int]:
+    """Completed partition ids of ``out_dir``, refusing any written under a
+    different plan: its rows would overlap this plan's partitions."""
+    done = _complete_manifests(out_dir)
+    for m in done:
+        if m.get("plan") != plan:
+            raise ValueError(
+                f"{out_dir!r} holds partition {m['partition_id']} from a "
+                f"different plan ({m.get('plan')}; this run: {plan}) "
+                f"— use a fresh output directory")
+    return {int(m["partition_id"]) for m in done}
+
+
+def _commit(table: pa.Table, out_dir: str, partition_id: int, name: str,
+            write_file, input_shard: str, t_start: float, key_col: str,
+            text_col: str, row_range: list | None = None,
+            plan: dict | None = None) -> dict:
+    """The one commit path: ``write_file(table, tmp)`` then a rename to
+    ``out_dir/name`` (the commit point: a crash leaves either nothing or a
+    complete pair), then the sha256 lineage digest over
+    (``key_col``, ``text_col``), then the manifest, also renamed into
+    place. ``row_range`` defaults to the range of the key values."""
+    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
+    final = os.path.join(out_dir, name)
+    write_file(table, final + ".tmp")
+    os.replace(final + ".tmp", final)
+
+    keys = table[key_col].to_pylist()
+    texts = (table[text_col].to_pylist() if text_col in table.column_names
+             else [""] * len(keys))
+    h = hashlib.sha256()
+    for k, t in zip(keys, texts):
+        h.update(("" if k is None else str(k)).encode())
+        h.update(b"\x00")
+        h.update((t or "").encode())
+        h.update(b"\x01")
+    if row_range is None:
+        # range over the ORIGINAL key values (stringified ints sort
+        # lexicographically — "10" < "2" — which would invert the range)
+        raw_keys = [k for k in keys if k is not None]
+        row_range = [min(raw_keys), max(raw_keys)] if raw_keys else [None, None]
+    wall_ms = (time.time() - t_start) * 1e3
+    manifest = {
+        "partition_id": partition_id,
+        "input_shard": input_shard,
+        "row_range": row_range,
+        "plan": plan,
+        "content_digest": h.hexdigest(),
+        "row_count": len(keys),
+        "bytes": os.path.getsize(final),
+        "wall_ms": wall_ms,
+        "docs_per_s": (len(keys) / (wall_ms / 1e3)) if wall_ms > 0 else None,
+        "status": "complete",
+    }
+    mpath = _manifest_path(out_dir, partition_id)
+    with open(mpath + ".tmp", "w") as fh:
+        json.dump(manifest, fh)
+    os.replace(mpath + ".tmp", mpath)
+    return manifest
 
 
 def write_partition(table: pa.Table, out_dir: str, partition_id: int,
                     input_shard: str, t_start: float,
                     key_col: str = "url",
-                    text_col: str = "extracted_text") -> dict:
-    """Atomic partition write + manifest: parquet to a temp name, fsync-free
-    rename, then the manifest row (the rename is the commit point; a crash
-    leaves either nothing or a complete pair). ``t_start`` is when this
-    partition's task began — wall_ms covers sort + digest + write for THIS
-    partition only. ``key_col``/``text_col`` select the lineage-digest
+                    text_col: str = "extracted_text",
+                    row_range: list | None = None,
+                    plan: dict | None = None) -> dict:
+    """Atomic parquet partition write + manifest through ``_commit``.
+    ``t_start`` is when this partition's task began, so wall_ms covers
+    that task only. ``key_col``/``text_col`` select the lineage-digest
     columns (url/extracted_text for the flagship; doc_id/text for
     training-shard exports)."""
-    os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
-    final = os.path.join(out_dir, f"part-{partition_id:05d}.parquet")
-    tmp = final + ".tmp"
-    pq.write_table(table, tmp)
-    os.replace(tmp, final)
+    return _commit(table, out_dir, partition_id,
+                   f"part-{partition_id:05d}.parquet", pq.write_table,
+                   input_shard, t_start, key_col, text_col, row_range, plan)
 
-    urls = ["" if u is None else str(u)
-            for u in table[key_col].to_pylist()]
-    texts = table[text_col].to_pylist() if text_col in table.column_names else []
-    h = hashlib.sha256()
-    for u, t in zip(urls, texts):
-        h.update((u or "").encode())
-        h.update(b"\x00")
-        h.update((t or "").encode())
-        h.update(b"\x01")
-    # range over the ORIGINAL key values (stringified ints sort
-    # lexicographically — "10" < "2" — which would invert the range)
-    raw_keys = [k for k in table[key_col].to_pylist() if k is not None]
-    row_range = [min(raw_keys), max(raw_keys)] if raw_keys else [None, None]
-    nbytes = os.path.getsize(final)
-    wall_ms = (time.time() - t_start) * 1e3  # sort + write + digest, as documented
-    manifest = {
-        "partition_id": partition_id,
-        "input_shard": input_shard,
-        "row_range": row_range,
-        "content_digest": h.hexdigest(),
-        "row_count": len(urls),
-        "bytes": nbytes,
-        "wall_ms": wall_ms,
-        "docs_per_s": (len(urls) / (wall_ms / 1e3)) if wall_ms > 0 else None,
-        "status": "complete",
-    }
-    mpath = _manifest_path(out_dir, partition_id)
-    tmpm = mpath + ".tmp"
-    with open(tmpm, "w") as fh:
-        json.dump(manifest, fh)
-    os.replace(tmpm, mpath)
-    return manifest
+
+def _run_tasks(items: list[dict], task) -> None:
+    """``task(item)`` once per item, one Ray task each and no exchange;
+    every task commits its own output. Plain tasks, not a Ray Data
+    ``map_batches`` over ``from_items``: with nothing to stream between
+    tasks, Ray Data only adds per-task overhead (64 no-op tasks on one
+    CPU: about 0.5 s through Ray Data, 0.06 s as plain tasks)."""
+    run = ray.remote(task)
+    ray.get([run.remote(item) for item in items])
+
+
+def _row_groups(pages_path: str) -> list[tuple[str, int, int, int]]:
+    """``(file, row group, first input row, rows)`` of every row group of
+    the pages files taken in name order, from the parquet footers only."""
+    files = (sorted(os.path.join(pages_path, f) for f in os.listdir(pages_path)
+                    if f.endswith(".parquet"))
+             if os.path.isdir(pages_path) else [pages_path])
+    groups, first = [], 0
+    for f in files:
+        md = pq.read_metadata(f)
+        for g in range(md.num_row_groups):
+            rows = md.row_group(g).num_rows
+            groups.append((f, g, first, rows))
+            first += rows
+    return groups
+
+
+def _read_range(groups: list[tuple[str, int, int, int]], lo: int, hi: int,
+                columns: list[str]) -> pa.Table:
+    """Input rows ``[lo, hi)``, ``lo < hi``, reading only the row groups
+    that overlap them."""
+    parts = []
+    for f, g, first, rows in groups:
+        if first < hi and lo < first + rows:
+            with pq.ParquetFile(f) as pf:
+                parts.append(pf.read_row_group(g, columns=columns)
+                             .slice(max(lo - first, 0), hi - max(lo, first)))
+    return pa.concat_tables(parts)
 
 
 def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 64,
-                            quality: str = "medium", concurrency: int | None = None,
-                            batch_size: int = 32, max_partitions: int | None = None) -> dict:
-    """Checkpointed flagship run: url-hash partition → skip completed →
-    extract remaining partitions → atomic write + manifest each.
+                            quality: str = "medium", batch_size: int = 32,
+                            max_partitions: int | None = None) -> dict:
+    """Checkpointed flagship run: plan row-range partitions from the
+    parquet footers → skip completed ones → one task per remaining
+    partition reads only the row groups overlapping its range, extracts
+    and summarizes them in ``batch_size`` slices, sorts by url and commits
+    through ``write_partition``. An empty range commits an empty part, so
+    every partition completes. A resume with nothing left returns before
+    any task runs or any payload is read.
 
     ``max_partitions`` processes only that many incomplete partitions (used
     by the kill/resume test to simulate preemption). Returns a summary
-    {completed_before, completed_now, skipped}.
+    {completed_before, completed_now, out_dir, n_partitions}. Raises
+    ValueError if ``out_dir`` holds partitions of a different plan (input
+    row count or ``n_partitions``).
     """
-    from ..pipelines.extract import extract_pipeline, read_pages
+    from ..pipelines.extract import PAGES_COLUMNS, extract_batch, summarize_batch
+    from ..schema import EXTRACTED_SCHEMA
 
-    done = completed_partitions(out_dir)
-    ds = read_pages(pages_path)
-    ds = ds.map_batches(lambda b: add_partition_column(b, n_partitions),
-                        batch_format="pyarrow")
-    # preemption simulation (max_partitions) selects WHICH incomplete
-    # partitions run by filtering ids before extraction — a limit() on the
-    # write results would not stop already-scheduled write tasks' side
-    # effects (observed: limit(6) still wrote all 16 partitions)
-    todo = sorted(set(range(n_partitions)) - done)
-    if max_partitions is not None:
-        todo = todo[:max_partitions]
-    if len(todo) < n_partitions:
-        todo_arr = pa.array(todo, pa.int32())
+    groups = _row_groups(pages_path)
+    n_rows = sum(g[3] for g in groups)
+    plan = {"input_rows": n_rows, "n_partitions": n_partitions}
+    done = _completed_under(out_dir, plan)
+    todo = [{"partition_id": i, "lo": i * n_rows // n_partitions,
+             "hi": (i + 1) * n_rows // n_partitions}
+            for i in range(n_partitions) if i not in done][:max_partitions]
+    summary = {"completed_before": len(done), "completed_now": len(todo),
+               "out_dir": out_dir, "n_partitions": n_partitions}
+    if not todo:
+        return summary
 
-        def keep_todo(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.is_in(batch["partition_id"],
-                                         value_set=todo_arr))
+    def extract_range(item: dict) -> None:
+        t0 = time.time()
+        lo, hi = item["lo"], item["hi"]
+        out = EXTRACTED_SCHEMA.empty_table()
+        if lo < hi:
+            pages = _read_range(groups, lo, hi, PAGES_COLUMNS)
+            out = pa.concat_tables(
+                [summarize_batch(extract_batch(pages.slice(s, batch_size), quality))
+                 for s in range(0, pages.num_rows, batch_size)]).sort_by("url")
+        write_partition(out, out_dir, item["partition_id"], pages_path, t0,
+                        row_range=[lo, hi], plan=plan)
 
-        ds = ds.map_batches(keep_todo, batch_format="pyarrow")
-
-    extracted = extract_pipeline(ds, quality=quality, concurrency=concurrency,
-                                 batch_size=batch_size)
-    # the extractor emits the fixed EXTRACTED_SCHEMA; re-derive the partition
-    # column from the url (crc32 is deterministic, so pre- and post-extraction
-    # assignments agree)
-    extracted = extracted.map_batches(lambda b: add_partition_column(b, n_partitions),
-                                      batch_format="pyarrow")
-
-    # group rows by partition and write each atomically. The groupby gives
-    # one task per partition — partition count bounds write parallelism.
-    def write_group(group: pa.Table) -> pa.Table:
-        # per-partition wall time measured inside the group task (sort +
-        # digest + parquet write) — a driver-global t0 would record
-        # cumulative pipeline time and make partitions incomparable
-        g0 = time.time()
-        pid = int(group["partition_id"][0].as_py())
-        table = group.drop_columns(["partition_id"]).sort_by("url")
-        m = write_partition(table, out_dir, pid, pages_path, g0)
-        return pa.table({"partition_id": pa.array([pid], pa.int32()),
-                         "row_count": pa.array([m["row_count"]], pa.int64())})
-
-    incomplete = extracted.groupby("partition_id")
-    written = incomplete.map_groups(write_group, batch_format="pyarrow")
-    n_new = len(written.to_pandas())
-    return {"completed_before": len(done), "completed_now": n_new,
-            "out_dir": out_dir, "n_partitions": n_partitions}
+    _run_tasks(todo, extract_range)
+    return summary
 
 
 def read_output(out_dir: str):
@@ -183,217 +252,109 @@ def read_output(out_dir: str):
     return ray.data.read_parquet(files)
 
 
-def export_training_shards(ds, out_dir: str, n_shards: int = 16,
-                           key_col: str = "doc_id",
-                           text_col: str = "text",
-                           max_shards: int | None = None) -> dict:
-    """Deterministic sharded training-data export — the final step of a
-    curation pipeline: shard = md5-hash32(key) % n_shards (the samplers'
-    pure-function rule, so shard membership is stable across runs,
-    partitionings and cluster sizes), one atomic parquet + manifest row
-    per shard (same commit-point discipline as the flagship writer), and
-    exact resume: completed shards are filtered out BEFORE any work runs.
-    Returns {completed_before, completed_now, out_dir, n_shards}."""
+def _export_shards(ds, out_dir: str, n_shards: int, key_col: str,
+                   text_col: str, max_shards: int | None, input_shard: str,
+                   name: str, write_file) -> dict:
+    """Skeleton of both exports: shard = md5-hash32(key) % n_shards (the
+    samplers' pure-function rule, so shard membership is stable across
+    runs, partitionings and cluster sizes); completed shards are filtered
+    out BEFORE any work runs; each remaining shard is sorted by key and
+    committed through ``_commit`` as ``name.format(shard)`` written by
+    ``write_file``. A shard no key hashed into is committed empty, else
+    resume would re-run the whole export forever."""
     from ..hashing import hash32 as h32
 
-    done = completed_partitions(out_dir)
-    todo = sorted(set(range(n_shards)) - done)
-    if max_shards is not None:
-        # preemption simulation / bounded-work mode, same contract as
-        # run_partitioned_extract(max_partitions=...): stop after k
-        # shards; a later call resumes the remainder exactly
-        todo = todo[:max_shards]
+    plan = {"n_shards": n_shards}
+    done = _completed_under(out_dir, plan)
+    todo = sorted(set(range(n_shards)) - done)[:max_shards]
+    summary = {"completed_before": len(done), "completed_now": len(todo),
+               "out_dir": out_dir, "n_shards": n_shards}
     if not todo:
         # exact resume of a finished export must not re-scan the corpus
-        return {"completed_before": len(done), "completed_now": 0,
-                "out_dir": out_dir, "n_shards": n_shards}
+        return summary
+
+    def commit(table: pa.Table, pid: int, t_start: float) -> None:
+        _commit(table, out_dir, pid, name.format(pid), write_file,
+                input_shard, t_start, key_col, text_col, plan=plan)
 
     def add_shard(batch: pa.Table) -> pa.Table:
         sh = [h32(v) % n_shards for v in batch[key_col].to_pylist()]
-        return batch.append_column("partition_id",
-                                   pa.array(sh, pa.int32()))
+        return batch.append_column("partition_id", pa.array(sh, pa.int32()))
 
     ds = ds.map_batches(add_shard, batch_format="pyarrow")
     if len(todo) < n_shards:
         todo_arr = pa.array(todo, pa.int32())
         ds = ds.map_batches(
-            lambda b: b.filter(pc.is_in(b["partition_id"],
-                                        value_set=todo_arr)),
+            lambda b: b.filter(pc.is_in(b["partition_id"], value_set=todo_arr)),
             batch_format="pyarrow")
 
     def write_group(group: pa.Table) -> pa.Table:
         g0 = time.time()
         pid = int(group["partition_id"][0].as_py())
-        table = group.drop_columns(["partition_id"]).sort_by(key_col)
-        m = write_partition(table, out_dir, pid, "training_export", g0,
-                            key_col=key_col, text_col=text_col)
-        return pa.table({"partition_id": pa.array([pid], pa.int32()),
-                         "row_count": pa.array([m["row_count"]],
-                                               pa.int64())})
+        commit(group.drop_columns(["partition_id"]).sort_by(key_col), pid, g0)
+        return pa.table({"partition_id": pa.array([pid], pa.int32())})
 
-    written = ds.groupby("partition_id").map_groups(
-        write_group, batch_format="pyarrow")
-    wdf = written.to_pandas()
-    wrote = set(wdf["partition_id"].tolist()) if len(wdf) else set()
-    # a shard no key hashed into produces NO group: commit it as an
-    # explicitly-empty partition, else resume re-runs the whole export
-    # forever and the manifest can't distinguish 'empty' from 'lost'
-    for pid in todo:
-        if pid in wrote:
-            continue
-        write_partition(pa.table({key_col: pa.array([], pa.int64()),
-                                  text_col: pa.array([], pa.string())}),
-                        out_dir, pid, "training_export", time.time(),
-                        key_col=key_col, text_col=text_col)
-    return {"completed_before": len(done), "completed_now": len(todo),
-            "out_dir": out_dir, "n_shards": n_shards}
+    wrote = set(ds.groupby("partition_id").map_groups(
+        write_group, batch_format="pyarrow").to_pandas().get("partition_id", []))
+    for pid in sorted(set(todo) - wrote):
+        commit(pa.table({key_col: pa.array([], pa.int64()),
+                         text_col: pa.array([], pa.string())}), pid, time.time())
+    return summary
 
 
-def shard_manifest_table(out_dir: str) -> pa.Table:
-    """The export's lineage manifest as a table (shard_id, row_count,
-    bytes, content_digest) sorted by shard — per-partition lineage +
-    metrics per the north rule."""
-    mdir = os.path.join(out_dir, "_manifest")
-    rows = []
-    for f in sorted(os.listdir(mdir)) if os.path.isdir(mdir) else []:
-        if f.startswith("part-") and f.endswith(".json"):
-            with open(os.path.join(mdir, f)) as fh:
-                m = json.load(fh)
-            if m.get("status") == "complete":
-                rows.append(m)
-    return pa.table({
-        "shard_id": pa.array([r["partition_id"] for r in rows], pa.int32()),
-        "row_count": pa.array([r["row_count"] for r in rows], pa.int64()),
-        "bytes": pa.array([r["bytes"] for r in rows], pa.int64()),
-        "content_digest": pa.array([r["content_digest"] for r in rows],
-                                   pa.string())})
+def export_training_shards(ds, out_dir: str, n_shards: int = 16,
+                           key_col: str = "doc_id",
+                           text_col: str = "text",
+                           max_shards: int | None = None) -> dict:
+    """Deterministic sharded training-data export — the final step of a
+    curation pipeline: one atomic ``part-NNNNN.parquet`` + manifest row
+    per md5-hash shard, with exact resume (``_export_shards``).
+    ``max_shards`` stops after that many shards (preemption simulation,
+    same contract as run_partitioned_extract's ``max_partitions``).
+    Returns {completed_before, completed_now, out_dir, n_shards}; raises
+    ValueError if ``out_dir`` holds shards of a different ``n_shards``."""
+    return _export_shards(ds, out_dir, n_shards, key_col, text_col,
+                          max_shards, "training_export",
+                          "part-{:05d}.parquet", pq.write_table)
+
+
+def _write_jsonl_gz(table: pa.Table, path: str) -> None:
+    cols = table.column_names
+    lines = [json.dumps(dict(zip(cols, row)), separators=(",", ":"),
+                        ensure_ascii=False)
+             for row in zip(*(table[c].to_pylist() for c in cols))]
+    payload = ("\n".join(lines) + ("\n" if lines else "")).encode()
+    with open(path, "wb") as fh:
+        fh.write(pa.Codec("gzip").compress(payload, asbytes=True))
 
 
 def export_jsonl_shards(ds, out_dir: str, n_shards: int = 16,
                         key_col: str = "doc_id", text_col: str = "text",
                         max_shards: int | None = None) -> dict:
     """Compressed-NDJSON training export — the interchange-format twin of
-    export_training_shards (same md5-hash32 shard rule, same atomic
-    write + manifest + exact-resume discipline), emitting
-    ``shard-NNNNN.jsonl.gz`` files that round-trip through
+    export_training_shards (same skeleton, only the file writer differs),
+    emitting ``shard-NNNNN.jsonl.gz`` files that round-trip through
     pipelines/reads.read_table_auto (tested: export → re-ingest → rollup
     equality). Bytes are deterministic end to end: rows sort by key,
     JSON serializes with fixed separators/column order, and the gzip
     frame comes from pyarrow's codec (no mtime header) — so the manifest
     content digests byte-diff across runs exactly like the parquet path."""
-    import pyarrow.compute as pc  # noqa: F401 (shared convention import)
-
-    from ..hashing import hash32 as h32
-
-    done = completed_partitions(out_dir)
-    todo = sorted(set(range(n_shards)) - done)
-    if max_shards is not None:
-        todo = todo[:max_shards]
-    if not todo:
-        return {"completed_before": len(done), "completed_now": 0,
-                "out_dir": out_dir, "n_shards": n_shards}
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        sh = [h32(v) % n_shards for v in batch[key_col].to_pylist()]
-        return batch.append_column("partition_id",
-                                   pa.array(sh, pa.int32()))
-
-    import pyarrow.compute as _pc
-
-    ds = ds.map_batches(add_shard, batch_format="pyarrow")
-    if len(todo) < n_shards:
-        todo_arr = pa.array(todo, pa.int32())
-        ds = ds.map_batches(
-            lambda b: b.filter(_pc.is_in(b["partition_id"],
-                                         value_set=todo_arr)),
-            batch_format="pyarrow")
-
-    def _write_jsonl_partition(table: pa.Table, pid: int,
-                               t_start: float) -> dict:
-        os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
-        final = os.path.join(out_dir, f"shard-{pid:05d}.jsonl.gz")
-        tmp = final + ".tmp"
-        cols = table.column_names
-        pydata = [table[c].to_pylist() for c in cols]
-        lines = []
-        for row in zip(*pydata):
-            lines.append(json.dumps(dict(zip(cols, row)),
-                                    separators=(",", ":"),
-                                    ensure_ascii=False))
-        payload = ("\n".join(lines) + ("\n" if lines else "")).encode()
-        blob = pa.Codec("gzip").compress(payload, asbytes=True)
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, final)
-
-        keys = ["" if k is None else str(k)
-                for k in table[key_col].to_pylist()]
-        texts = (table[text_col].to_pylist()
-                 if text_col in cols else [""] * len(keys))
-        h = hashlib.sha256()
-        for u, t in zip(keys, texts):
-            h.update((u or "").encode()); h.update(b"\x00")
-            h.update((t or "").encode()); h.update(b"\x01")
-        raw_keys = [k for k in table[key_col].to_pylist() if k is not None]
-        wall_ms = (time.time() - t_start) * 1e3
-        manifest = {
-            "partition_id": pid, "input_shard": "jsonl_export",
-            "row_range": ([min(raw_keys), max(raw_keys)]
-                          if raw_keys else [None, None]),
-            "content_digest": h.hexdigest(),
-            "row_count": len(keys), "bytes": os.path.getsize(final),
-            "wall_ms": wall_ms,
-            "docs_per_s": (len(keys) / (wall_ms / 1e3))
-            if wall_ms > 0 else None,
-            "status": "complete",
-        }
-        mpath = _manifest_path(out_dir, pid)
-        tmpm = mpath + ".tmp"
-        with open(tmpm, "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(tmpm, mpath)
-        return manifest
-
-    def write_group(group: pa.Table) -> pa.Table:
-        g0 = time.time()
-        pid = int(group["partition_id"][0].as_py())
-        table = group.drop_columns(["partition_id"]).sort_by(key_col)
-        m = _write_jsonl_partition(table, pid, g0)
-        return pa.table({"partition_id": pa.array([pid], pa.int32()),
-                         "row_count": pa.array([m["row_count"]],
-                                               pa.int64())})
-
-    written = ds.groupby("partition_id").map_groups(
-        write_group, batch_format="pyarrow")
-    wdf = written.to_pandas()
-    wrote = set(wdf["partition_id"].tolist()) if len(wdf) else set()
-    for pid in todo:
-        if pid in wrote:
-            continue
-        _write_jsonl_partition(
-            pa.table({key_col: pa.array([], pa.int64()),
-                      text_col: pa.array([], pa.string())}), pid,
-            time.time())
-    return {"completed_before": len(done), "completed_now": len(todo),
-            "out_dir": out_dir, "n_shards": n_shards}
+    return _export_shards(ds, out_dir, n_shards, key_col, text_col,
+                          max_shards, "jsonl_export",
+                          "shard-{:05d}.jsonl.gz", _write_jsonl_gz)
 
 
-def _complete_manifests(out_dir: str) -> list:
-    """All complete manifest rows under ``out_dir``, sorted by partition
-    id — bounded metadata (one row per partition), never corpus-scale."""
-    mdir = os.path.join(out_dir, "_manifest")
-    rows = []
-    for f in sorted(os.listdir(mdir)) if os.path.isdir(mdir) else []:
-        if f.startswith("part-") and f.endswith(".json"):
-            try:
-                with open(os.path.join(mdir, f)) as fh:
-                    m = json.load(fh)
-            except json.JSONDecodeError:
-                continue
-            if m.get("status") == "complete":
-                rows.append(m)
-    rows.sort(key=lambda m: m["partition_id"])
-    return rows
+def shard_manifest_table(out_dir: str) -> pa.Table:
+    """The export's lineage manifest as a table (shard_id, row_count,
+    bytes, content_digest) sorted by shard — per-partition lineage +
+    metrics per the north rule."""
+    rows = _complete_manifests(out_dir)
+    return pa.table({
+        "shard_id": pa.array([r["partition_id"] for r in rows], pa.int32()),
+        "row_count": pa.array([r["row_count"] for r in rows], pa.int64()),
+        "bytes": pa.array([r["bytes"] for r in rows], pa.int64()),
+        "content_digest": pa.array([r["content_digest"] for r in rows],
+                                   pa.string())})
 
 
 def compact_partitions(out_dir: str, compact_dir: str,
@@ -452,46 +413,26 @@ def compact_partitions(out_dir: str, compact_dir: str,
                 f"(this run: "
                 f"{_span(groups[gid]) if gid < len(groups) else 'absent'}"
                 f") — use a fresh compact_dir")
-    todo = [(gid, g) for gid, g in enumerate(groups) if gid not in done]
+
+    def compact(item: dict) -> None:
+        gid, pids = item["group_id"], item["pids"]
+        # resume race: O(1) check of THIS group's manifest only
+        if _read_manifest(_manifest_path(compact_dir, gid)):
+            return
+        t0 = time.time()
+        tables = [pq.read_table(os.path.join(out_dir, f"part-{p:05d}.parquet"))
+                  for p in pids]
+        write_partition(pa.concat_tables(tables), compact_dir, gid,
+                        _span(pids), t0, key_col=key_col, text_col=text_col)
+
+    todo = [{"group_id": gid, "pids": g} for gid, g in enumerate(groups)
+            if gid not in done]
     if todo:
-        spec = pa.table({
-            "group_id": pa.array([g[0] for g in todo], pa.int32()),
-            "pids": pa.array([json.dumps(g[1]) for g in todo],
-                             pa.string())})
-
-        def compact(batch: pa.Table) -> pa.Table:
-            out = []
-            for gid, pj in zip(batch["group_id"].to_pylist(),
-                               batch["pids"].to_pylist()):
-                # resume race: O(1) check of THIS group's manifest only
-                mpath = _manifest_path(compact_dir, gid)
-                if os.path.exists(mpath):
-                    try:
-                        with open(mpath) as fh:
-                            if json.load(fh).get("status") == "complete":
-                                continue
-                    except json.JSONDecodeError:
-                        pass   # torn write → redo the group
-                t0 = time.time()
-                pids = json.loads(pj)
-                tables = [pq.read_table(
-                    os.path.join(out_dir, f"part-{p:05d}.parquet"))
-                    for p in pids]
-                write_partition(pa.concat_tables(tables), compact_dir,
-                                gid, _span(pids), t0,
-                                key_col=key_col, text_col=text_col)
-                out.append(gid)
-            return pa.table({"group_id": pa.array(out, pa.int32())})
-
-        # one block per group — map_batches parallelism is per BLOCK, so
-        # without the repartition the whole plan would run in one task
-        ray.data.from_arrow(spec).repartition(len(todo)).map_batches(
-            compact, batch_size=1, batch_format="pyarrow").materialize()
+        _run_tasks(todo, compact)
 
     rows = []
     for gid, g in enumerate(groups):
-        with open(_manifest_path(compact_dir, gid)) as fh:
-            m = json.load(fh)
+        m = _read_manifest(_manifest_path(compact_dir, gid))
         rows.append((gid, len(g), g[0], g[-1],
                      int(m["row_count"]), int(m["bytes"]),
                      m["content_digest"]))

@@ -2,6 +2,7 @@
 kill-after-k-partitions → resume → byte-identical final output."""
 
 import os
+import shutil
 
 import pyarrow.parquet as pq
 import pytest
@@ -24,14 +25,12 @@ class TestManifest:
 
     def test_full_run_then_resume_noop(self, ray_session, small_corpus, out_dir):
         pages = os.path.join(small_corpus, "pages.parquet")
-        r1 = manifest.run_partitioned_extract(pages, out_dir, n_partitions=8,
-                                              concurrency=2)
+        r1 = manifest.run_partitioned_extract(pages, out_dir, n_partitions=8)
         assert r1["completed_now"] == 8
         done = manifest.completed_partitions(out_dir)
         assert done == set(range(8))
         # resume: everything skipped
-        r2 = manifest.run_partitioned_extract(pages, out_dir, n_partitions=8,
-                                              concurrency=2)
+        r2 = manifest.run_partitioned_extract(pages, out_dir, n_partitions=8)
         assert r2["completed_before"] == 8
         assert r2["completed_now"] == 0
         # output covers every input row exactly once
@@ -45,17 +44,15 @@ class TestManifest:
         pages = os.path.join(small_corpus, "pages.parquet")
         # full reference run
         ref_dir = str(tmp_path / "ref")
-        manifest.run_partitioned_extract(pages, ref_dir, n_partitions=8,
-                                         concurrency=2)
+        manifest.run_partitioned_extract(pages, ref_dir, n_partitions=8)
         ref = manifest.read_output(ref_dir).to_pandas().sort_values("url").reset_index(drop=True)
 
         # preempted run: stop after ~3 partitions, then resume
         manifest.run_partitioned_extract(pages, out_dir, n_partitions=8,
-                                         concurrency=2, max_partitions=3)
+                                         max_partitions=3)
         partial = manifest.completed_partitions(out_dir)
         assert 0 < len(partial) <= 8
-        manifest.run_partitioned_extract(pages, out_dir, n_partitions=8,
-                                         concurrency=2)
+        manifest.run_partitioned_extract(pages, out_dir, n_partitions=8)
         assert manifest.completed_partitions(out_dir) == set(range(8))
         got = manifest.read_output(out_dir).to_pandas().sort_values("url").reset_index(drop=True)
         assert (got.url == ref.url).all()
@@ -64,8 +61,7 @@ class TestManifest:
 
     def test_manifest_metrics(self, ray_session, small_corpus, out_dir):
         pages = os.path.join(small_corpus, "pages.parquet")
-        manifest.run_partitioned_extract(pages, out_dir, n_partitions=4,
-                                         concurrency=2)
+        manifest.run_partitioned_extract(pages, out_dir, n_partitions=4)
         import json
         mdir = os.path.join(out_dir, "_manifest")
         rows = [json.load(open(os.path.join(mdir, f))) for f in sorted(os.listdir(mdir))]
@@ -76,6 +72,69 @@ class TestManifest:
             assert m["bytes"] > 0
             assert len(m["content_digest"]) == 64
             assert m["input_shard"] == pages
+            assert m["plan"] == {"input_rows": 400, "n_partitions": 4}
+        # the row ranges tile the input in partition order
+        assert [m["row_range"] for m in rows] == [[0, 100], [100, 200],
+                                                  [200, 300], [300, 400]]
+
+    def test_noop_resume_reads_no_payload(self, ray_session, small_corpus,
+                                          tmp_path, out_dir):
+        pages = str(tmp_path / "pages.parquet")
+        shutil.copytree(os.path.join(small_corpus, "pages.parquet"), pages)
+        manifest.run_partitioned_extract(pages, out_dir, n_partitions=8)
+        # zero every data page, keeping the parquet footers: a resume that
+        # reads any payload now fails
+        for f in os.listdir(pages):
+            path = os.path.join(pages, f)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            body_end = len(data) - 8 - int.from_bytes(data[-8:-4], "little")
+            with open(path, "wb") as fh:
+                fh.write(data[:4] + bytes(body_end - 4) + data[body_end:])
+        with pytest.raises(OSError):
+            pq.read_table(pages)
+        r = manifest.run_partitioned_extract(pages, out_dir, n_partitions=8)
+        assert r["completed_before"] == 8 and r["completed_now"] == 0
+
+    def test_changed_plan_refused(self, ray_session, small_corpus, out_dir):
+        pages = os.path.join(small_corpus, "pages.parquet")
+        manifest.run_partitioned_extract(pages, out_dir, n_partitions=8,
+                                         max_partitions=2)
+        with pytest.raises(ValueError, match="different plan"):
+            manifest.run_partitioned_extract(pages, out_dir, n_partitions=16)
+        assert manifest.completed_partitions(out_dir) == {0, 1}
+        # the SAME plan still resumes cleanly
+        r = manifest.run_partitioned_extract(pages, out_dir, n_partitions=8)
+        assert r["completed_before"] == 2 and r["completed_now"] == 6
+        out = manifest.read_output(out_dir).to_pandas()
+        assert len(out) == 400 and out.url.is_unique
+
+    def test_fewer_rows_than_partitions(self, ray_session, small_corpus,
+                                        tmp_path, out_dir):
+        pages = str(tmp_path / "pages20.parquet")
+        src = os.path.join(small_corpus, "pages.parquet")
+        pq.write_table(pq.read_table(src).slice(0, 20), pages)
+        r = manifest.run_partitioned_extract(pages, out_dir, n_partitions=64)
+        assert r["completed_now"] == 64
+        assert manifest.completed_partitions(out_dir) == set(range(64))
+        out = pq.read_table(out_dir)
+        assert out.num_rows == 20 and len(set(out["url"].to_pylist())) == 20
+        r = manifest.run_partitioned_extract(pages, out_dir, n_partitions=64)
+        assert r["completed_before"] == 64 and r["completed_now"] == 0
+
+    def test_torn_manifest_redone(self, ray_session, small_corpus, out_dir):
+        pages = os.path.join(small_corpus, "pages.parquet")
+        manifest.run_partitioned_extract(pages, out_dir, n_partitions=4)
+        want = manifest.read_output(out_dir).to_pandas().sort_values("url")
+        mpath = manifest._manifest_path(out_dir, 2)
+        with open(mpath, "r+") as fh:
+            fh.truncate(len(fh.read()) // 2)
+        assert manifest.completed_partitions(out_dir) == {0, 1, 3}
+        r = manifest.run_partitioned_extract(pages, out_dir, n_partitions=4)
+        assert r["completed_before"] == 3 and r["completed_now"] == 1
+        got = manifest.read_output(out_dir).to_pandas().sort_values("url")
+        assert list(got.url) == list(want.url)
+        assert list(got.extracted_text) == list(want.extracted_text)
 
 
 @pytest.mark.slow
@@ -106,17 +165,14 @@ class TestResumeBenchTier:
                     for r in rows_}
 
         ref_dir = str(tmp_path / "ref")
-        manifest.run_partitioned_extract(pages, ref_dir, n_partitions=nparts,
-                                         concurrency=4)
+        manifest.run_partitioned_extract(pages, ref_dir, n_partitions=nparts)
         out_dir = str(tmp_path / "out")
         manifest.run_partitioned_extract(pages, out_dir, n_partitions=nparts,
-                                         concurrency=4,
                                          max_partitions=nparts // 2)
         half = manifest.completed_partitions(out_dir)
         assert 0 < len(half) < nparts          # genuinely preempted
         r = manifest.run_partitioned_extract(pages, out_dir,
-                                             n_partitions=nparts,
-                                             concurrency=4)
+                                             n_partitions=nparts)
         assert r["completed_before"] == len(half)
         assert manifest.completed_partitions(out_dir) == set(range(nparts))
         assert digests(out_dir) == digests(ref_dir)   # byte-identical

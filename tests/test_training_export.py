@@ -78,6 +78,31 @@ class TestTrainingExport:
         lo, hi = m["row_range"]
         assert lo <= hi and lo == 0 and hi == 29
 
+    def test_changed_n_shards_refused(self, ray_session):
+        shutil.rmtree(OUT, ignore_errors=True)
+        mstate.export_training_shards(docs_ds(), OUT, n_shards=8,
+                                      max_shards=3)
+        with pytest.raises(ValueError, match="different plan"):
+            mstate.export_training_shards(docs_ds(), OUT, n_shards=4)
+        s = mstate.export_training_shards(docs_ds(), OUT, n_shards=8)
+        assert s["completed_before"] == 3 and s["completed_now"] == 5
+        assert len(mstate.read_output(OUT).to_pandas()) == 60
+
+    def test_torn_manifest_skipped_and_redone(self, ray_session):
+        shutil.rmtree(OUT, ignore_errors=True)
+        mstate.export_training_shards(docs_ds(), OUT, n_shards=8)
+        want = mstate.shard_manifest_table(OUT)
+        with open(mstate._manifest_path(OUT, 3), "r+") as fh:
+            fh.truncate(len(fh.read()) // 2)
+        assert mstate.completed_partitions(OUT) == set(range(8)) - {3}
+        assert mstate.shard_manifest_table(OUT)["shard_id"].to_pylist() == \
+            [0, 1, 2, 4, 5, 6, 7]
+        assert [m["partition_id"] for m in mstate._complete_manifests(OUT)] \
+            == [0, 1, 2, 4, 5, 6, 7]
+        s = mstate.export_training_shards(docs_ds(), OUT, n_shards=8)
+        assert s["completed_before"] == 7 and s["completed_now"] == 1
+        assert mstate.shard_manifest_table(OUT).equals(want)
+
 
 class TestJsonlExport:
     """export_jsonl_shards: the interchange-format twin of the parquet
@@ -138,6 +163,11 @@ class TestJsonlExport:
         m = js.load(open(glob.glob(ref + "/_manifest/part-*.json")[0]))
         assert m["status"] == "complete"
         assert len(m["content_digest"]) == 64
+        assert m["plan"] == {"n_shards": 8}
+
+        # ---- a resume with another shard count is refused
+        with pytest.raises(ValueError, match="different plan"):
+            manifest.export_jsonl_shards(self._docs(), out, n_shards=16)
 
 
 class TestCompaction:

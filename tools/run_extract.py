@@ -27,8 +27,9 @@ def main() -> int:
     ap.add_argument("--input", required=True, help="pages parquet file/dir")
     ap.add_argument("--out", required=True, help="output + manifest dir")
     ap.add_argument("--partitions", type=int, default=64,
-                    help="url-hash partition count (sets resume granularity "
-                         "and write parallelism)")
+                    help="checkpoint partition count: contiguous input-row "
+                         "ranges, one task each (sets resume granularity "
+                         "and task parallelism)")
     ap.add_argument("--quality", default="medium",
                     choices=["low", "medium", "high", "v1"])
     ap.add_argument("--batch-size", type=int, default=None)
