@@ -28,8 +28,8 @@ from mobile_ocr_api_ray.stages.text_analysis import (LANG_PROFILES,
 
 
 def entry() -> Any:
-    """Flagship pipeline (read → actor-pool extract → summarize) on the
-    deterministic pages corpus sized for sf0.001."""
+    """Flagship pipeline (read → extract → summarize, one fused task per
+    block) on the deterministic pages corpus sized for sf0.001."""
     from mobile_ocr_api_ray.pipelines.analysis import extract_pages
 
     return extract_pages("/root/testdata/sf0.001")
@@ -253,8 +253,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "tfidf_top_terms": a.tfidf_top_terms,
         "summarize_docs": a.summarize_docs,
         "extract_pages": a.extract_pages,
-        "extract_pages_skew": a.extract_pages_skew,
-        "extract_pages_actors": a.extract_pages_actors,
         "extract_pages_dedup": a.extract_pages_dedup,
         "extract_lang_stats": a.extract_lang_stats,
         "extraction_eval": a.extraction_eval,

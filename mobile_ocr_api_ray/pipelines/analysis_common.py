@@ -27,7 +27,6 @@ from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
 from ..stages import crawl, dedup, similarity, text_analysis
 from . import reads
-from .extract import extract_pipeline, extract_pipeline_dedup, read_pages
 
 
 DOUBLE_OFFSET = 1_000_000  # doc_id offset for the duplicated-corpus variants

@@ -27,7 +27,6 @@ from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
 from ..stages import crawl, dedup, similarity, text_analysis
 from . import reads
-from .extract import extract_pipeline, extract_pipeline_dedup, read_pages
 
 from .analysis_common import (DOUBLE_OFFSET, _docs, _coarse_hint_for, _docs_coarse_hint, _doubled_docs, _WORD_TOKEN_RE, SPLIT_PCT, LINE_WIDTH, _chunked_text, _embeddings, _doubled_embeddings, _doubled_clone_pairs, _pages_dir_for, _corpus_rows, _hash_keep, _pages_coarse_hint)  # noqa: F401
 

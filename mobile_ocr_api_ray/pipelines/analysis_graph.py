@@ -277,42 +277,6 @@ def extraction_rejection_report(sf_dir: str):
         "n": pa.array(agg["n"].to_numpy(), pa.int64())})
 
 
-def extract_pages_skew(sf_dir: str):
-    """extract_pages through the SKEW-AWARE pipeline (extract_pipeline_
-    skew_aware): oversized payload rows (> BIG_ROW_BYTES ≈ 2 MiB; the
-    corpus guarantees one multi-MB row per ≥1000-row tier) are isolated
-    into BIG_ROW_BATCH-sized batches so a 16 MB blob never rides in a
-    128-row batch. Output is identical to extract_pages — the routing is
-    a pure partition of the input (pinned by
-    tests/test_pipeline.py::TestSkewQuerySurface)."""
-    from .extract import extract_pipeline_skew_aware
-
-    d = _pages_dir_for(sf_dir)
-    out = extract_pipeline_skew_aware(
-        read_pages(os.path.join(d, "pages.parquet")))
-    return out.select_columns(["url", "extracted_text", "confidence",
-                               "total_pages", "payload_kind", "source",
-                               "status", "summary", "compression_ratio",
-                               "lang", "quality"]).sort("url")
-
-
-def extract_pages_actors(sf_dir: str):
-    """extract_pages through the ACTOR-POOL stage form (A1's second body:
-    warm state in ``__init__`` once per actor, work in ``__call__`` — the
-    shape for kernels with genuinely expensive state like model weights).
-    Output is identical to the task form; this surfaces the actor path to
-    the driver's correctness sampling rather than leaving it pytest-only."""
-    from .extract import EXTRACT_BATCH_SIZE, extract_pipeline
-
-    d = _pages_dir_for(sf_dir)
-    out = extract_pipeline(read_pages(os.path.join(d, "pages.parquet")),
-                           use_actors=True, batch_size=EXTRACT_BATCH_SIZE)
-    return out.select_columns(["url", "extracted_text", "confidence",
-                               "total_pages", "payload_kind", "source",
-                               "status", "summary", "compression_ratio",
-                               "lang", "quality"]).sort("url")
-
-
 def extract_pages_dedup(sf_dir: str):
     d = _pages_dir_for(sf_dir)
     out = extract_pipeline_dedup(read_pages(os.path.join(d, "pages.parquet")))
@@ -365,9 +329,9 @@ def doc_structure_stats(sf_dir: str):
 
 
 def image_meta(sf_dir: str):
-    """Multimodal decode stage (actor pool) over the pages corpus: every
-    payload through ImageDecodeStage; non-image payloads surface as
-    status='error' rows (M11 row-level isolation), IMGX decodes natively."""
+    """Multimodal decode stage over the pages corpus: every payload through
+    ImageDecodeStage; non-image payloads surface as status='error' rows
+    (M11 row-level isolation), IMGX decodes natively."""
     from ..stages.multimodal import ImageDecodeStage, image_payload_mask
 
     d = _pages_dir_for(sf_dir)
@@ -376,7 +340,7 @@ def image_meta(sf_dir: str):
     def strip_non_images(batch: pa.Table) -> pa.Table:
         # vectorized magic-byte prefilter (cheap task stage): non-image
         # payloads (the ~90% HTML majority) are nulled out so multi-MB blobs
-        # never ship into the actor pool; the stage's own mask then routes
+        # never reach the decode loop; the stage's own mask then routes
         # null rows straight to the vectorized error-row path
         pcol = batch["html"] if "html" in batch.column_names else batch["payload"]
         mask = image_payload_mask(pcol)
@@ -384,12 +348,12 @@ def image_meta(sf_dir: str):
                          "payload": pc.if_else(mask, pcol,
                                                pa.scalar(None, pa.binary()))})
 
-    # fractional num_cpus: a pool of 4 × 1.0 CPUs would monopolize a small
-    # session and starve the read stage into deadlock (ACTOR_NUM_CPUS rule,
-    # pipelines/extract.py)
+    # the stage holds no state worth an actor, so an instance runs as plain
+    # tasks: a fixed actor pool reserves CPUs the read tasks need, and on a
+    # small session the query never finishes
     out = (ds.map_batches(strip_non_images, batch_format="pyarrow")
-           .map_batches(ImageDecodeStage, batch_format="pyarrow",
-                        batch_size=256, concurrency=4, num_cpus=0.5))
+           .map_batches(ImageDecodeStage(), batch_format="pyarrow",
+                        batch_size=256))
     return out.sort("url")
 
 
@@ -416,8 +380,8 @@ def image_dhash_dups(sf_dir: str):
                                                pa.scalar(None, pa.binary()))})
 
     hashed = (ds.map_batches(strip_non_images, batch_format="pyarrow")
-              .map_batches(ImageDHashStage, batch_format="pyarrow",
-                           batch_size=256, concurrency=4, num_cpus=0.5))
+              .map_batches(ImageDHashStage(), batch_format="pyarrow",
+                           batch_size=256))
 
     def add_coarse(batch: pa.Table) -> pa.Table:
         coarse = str_hash.crc32_of_strings(batch["dhash"]) % 64
@@ -469,7 +433,7 @@ def frame_samples(sf_dir: str):
 def audio_features(sf_dir: str):
     """Audio feature extraction over deterministic AUDX payloads synthesized
     from the embeddings table (vec_id-keyed sine waves) — exercises the
-    decode → DSP actor stage end-to-end with no external codecs."""
+    decode → DSP stage end-to-end with no external codecs."""
     from ..stages.multimodal import AudioFeatureStage, encode_audx
 
     def synth(batch: pa.Table) -> pa.Table:
@@ -483,8 +447,8 @@ def audio_features(sf_dir: str):
                          "payload": pa.array(payloads, pa.binary())})
 
     ds = _embeddings(sf_dir).map_batches(synth, batch_format="pyarrow")
-    out = ds.map_batches(AudioFeatureStage, batch_format="pyarrow",
-                         batch_size=128, concurrency=4, num_cpus=0.5)
+    out = ds.map_batches(AudioFeatureStage(), batch_format="pyarrow",
+                         batch_size=128)
     return out.sort("url")
 
 

@@ -1,11 +1,11 @@
-"""The flagship actor-pool extraction stage (SURVEY.md §2.3 A1).
+"""The flagship extraction stage (SURVEY.md §2.3 A1).
 
-``ExtractorActor`` is a callable class for
-``ds.map_batches(ExtractorActor, batch_format="pyarrow", concurrency=N)``:
-engine state (compiled regexes, glyph template stack, routing table) is
-warm per actor via module import + ``__init__`` — the Ray-native
+``ExtractorActor`` is a callable class over pyarrow batches: engine state
+(compiled regexes, glyph template stack, routing table, payload LRU) is
+warm per instance via module import + ``__init__`` — the Ray-native
 re-expression of the reference's module-global engine configuration
-(app.py:240-251, app2.py:50-58).
+(app.py:240-251, app2.py:50-58). ``pipelines.extract`` holds one instance
+per worker process and calls it from plain Ray tasks.
 
 Per row, it reproduces the reference request lifecycle as data:
 
@@ -180,7 +180,8 @@ def _result_nbytes(result: tuple) -> int:
 
 
 class ExtractorActor:
-    """Stateful extraction stage; one instance per actor in the pool.
+    """Stateful extraction stage; ``pipelines.extract`` keeps one instance
+    per worker process.
 
     ``kernels`` optionally overrides the extraction kernel per payload kind:
     a registry name (resolved in the worker at init — see registry.py for
@@ -195,13 +196,13 @@ class ExtractorActor:
                  lru_bytes: int = 64 << 20):
         from collections import OrderedDict
         self.build_visualization = build_visualization
-        # A2b: per-actor LRU keyed by (kind, lang, config, payload digest) —
-        # repeats WITHIN an actor's stream skip the kernel entirely (the
-        # reference's v2 result cache, app2.py:46-48, as warm actor state);
+        # A2b: per-instance LRU keyed by (kind, lang, config, payload digest)
+        # — repeats WITHIN a worker's stream skip the kernel entirely (the
+        # reference's v2 result cache, app2.py:46-48, as warm worker state);
         # cross-cluster dedup is the separate D1 digest pipeline.
         # Bounded by BOTH entry count (lru_size, 0 disables) and result
         # BYTES (lru_bytes): 512 entries of multi-MB extractions would
-        # otherwise pin GBs of heap per actor on a pathological corpus —
+        # otherwise pin GBs of heap per worker on a pathological corpus —
         # the cap evicts oldest-first until the estimate fits.
         self.lru_size = lru_size
         self.lru_bytes = lru_bytes

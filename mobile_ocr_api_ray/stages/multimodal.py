@@ -1,12 +1,12 @@
 """Multimodal column plumbing: decode / feature-extract / resize /
 frame-sample over opaque ``binary`` payload columns with typed metadata.
 
-The Ray-side plumbing (schemas, actor signatures, batch sizing, output
+The Ray-side plumbing (schemas, stage signatures, batch sizing, output
 layout) is real and tested; codec-dependent steps are stubbed behind
 import gates, since the sandbox ships no image/audio codecs:
 
 - IMGX bitmaps and PDFX containers (the engine's own formats) decode fully.
-- JPEG/PNG decode tries Pillow at actor init; absent → the row degrades to
+- JPEG/PNG decode tries Pillow at stage init; absent → the row degrades to
   ``status='stub_unavailable'`` (per-row error isolation, M11 pattern).
 - AUDX (b"AUDX" + u32 sample_rate + u32 n + int16 PCM samples) is a
   deterministic fake audio container: duration/RMS/zero-crossing features
@@ -37,8 +37,8 @@ def image_payload_mask(payload) -> pa.ChunkedArray:
     """Vectorized magic-byte prefilter: True where the binary payload starts
     with a known image signature (IMGX / JPEG / PNG). Null → False.
 
-    Lets pipelines skip the decode actor pool (and its per-row exception
-    cost, plus shipping multi-MB HTML blobs into the pool) for the ~90% of
+    Lets pipelines skip the decode loop (and its per-row exception
+    cost, plus shipping multi-MB HTML blobs into the stage) for the ~90% of
     corpus rows that are not images."""
     import pyarrow.compute as pc
 
@@ -64,7 +64,7 @@ def decode_audx(payload: bytes) -> tuple[int, np.ndarray]:
 
 
 class ImageDecodeStage:
-    """Actor-pool stage: binary → (width, height, mean_intensity, codec, status).
+    """Callable batch stage: binary → (width, height, mean_intensity, codec, status).
 
     IMGX decodes natively; JPEG/PNG via Pillow when importable, else the row
     is marked 'stub_unavailable' (NotImplementedError path made data)."""
@@ -122,7 +122,7 @@ class ImageDecodeStage:
 
 
 class ImageResizeStage:
-    """Actor-pool stage: IMGX resize to a quality tier's max_dim (M1), emitting
+    """Callable batch stage: IMGX resize to a quality tier's max_dim (M1), emitting
     re-encoded IMGX — the batch analog of optimize_image_for_mobile."""
 
     def __init__(self, max_dim: int = 1200):
@@ -173,7 +173,7 @@ def sample_frames(batch: pa.Table, every_nth: int = 2) -> pa.Table:
 
 
 class AudioFeatureStage:
-    """Actor-pool stage over AUDX payloads: duration_s, rms, zero_crossings —
+    """Callable batch stage over AUDX payloads: duration_s, rms, zero_crossings —
     real DSP over the deterministic fake container."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -220,10 +220,10 @@ def dhash64(img: np.ndarray) -> int:
 
 
 class ImageDHashStage:
-    """Actor-pool stage: IMGX payload → (url, dhash hex, width, height).
+    """Callable batch stage: IMGX payload → (url, dhash hex, width, height).
     Non-IMGX / undecodable payloads emit no row (the prefilter task
     upstream already nulls non-image payloads, so blobs never ship into
-    the pool). Pure per-row compute, no shuffle."""
+    the stage). Pure per-row compute, no shuffle."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         pcol = batch["html"] if "html" in batch.column_names \

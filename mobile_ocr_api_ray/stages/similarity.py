@@ -976,9 +976,11 @@ def semdedup_kept(ds, k: int = 8, tau: float = SEMDEDUP_TAU,
     embedded corpus, cosine pairs are examined only WITHIN a cluster
     (the paper's trick: near-duplicates land in the same cluster, so the
     all-pairs blowup shrinks from n² to Σ|cluster|²), and of every pair
-    with cosine ≥ tau the larger id is dropped (the keep-first greedy
-    policy; the components-based keep lives in
-    analysis.embedding_dedup_kept_doubled).
+    with cosine ≥ tau the larger id is dropped. The rule is not chain-aware
+    and so is not a keep-first greedy sweep: a pair drops its larger id
+    even when the smaller id is itself dropped, so in a chain a~b~c with
+    a≁c both b and c go, where keep-first would keep c. The
+    components-based keep lives in analysis.embedding_dedup_kept_doubled.
 
     Shape: kmeans_labels (bounded per-block partials, centroids ride the
     closure) → labels ⋈ embeddings co-partitioned hash_join (narrow side

@@ -198,13 +198,13 @@ def _read_range(groups: list[tuple[str, int, int, int]], lo: int, hi: int,
 
 
 def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 64,
-                            quality: str = "medium", batch_size: int = 32,
+                            quality: str = "medium",
                             max_partitions: int | None = None) -> dict:
     """Checkpointed flagship run: plan row-range partitions from the
     parquet footers → skip completed ones → one task per remaining
     partition reads only the row groups overlapping its range, extracts
-    and summarizes them in ``batch_size`` slices, sorts by url and commits
-    through ``write_partition``. An empty range commits an empty part, so
+    and summarizes them in ``EXTRACT_BATCH_SIZE`` slices, sorts by url and
+    commits through ``write_partition``. An empty range commits an empty part, so
     every partition completes. A resume with nothing left returns before
     any task runs or any payload is read.
 
@@ -214,7 +214,8 @@ def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 6
     ValueError if ``out_dir`` holds partitions of a different plan (input
     row count or ``n_partitions``).
     """
-    from ..pipelines.extract import PAGES_COLUMNS, extract_batch, summarize_batch
+    from ..pipelines.extract import (EXTRACT_BATCH_SIZE, PAGES_COLUMNS,
+                                     extract_batch, summarize_batch)
     from ..schema import EXTRACTED_SCHEMA
 
     groups = _row_groups(pages_path)
@@ -236,8 +237,9 @@ def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 6
         if lo < hi:
             pages = _read_range(groups, lo, hi, PAGES_COLUMNS)
             out = pa.concat_tables(
-                [summarize_batch(extract_batch(pages.slice(s, batch_size), quality))
-                 for s in range(0, pages.num_rows, batch_size)]).sort_by("url")
+                [summarize_batch(extract_batch(pages.slice(s, EXTRACT_BATCH_SIZE),
+                                               quality))
+                 for s in range(0, pages.num_rows, EXTRACT_BATCH_SIZE)]).sort_by("url")
         write_partition(out, out_dir, item["partition_id"], pages_path, t0,
                         row_range=[lo, hi], plan=plan)
 

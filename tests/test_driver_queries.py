@@ -18,6 +18,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 SF = "/root/testdata/sf0.001"
+ONE_CPU_TIMEOUT_S = 180
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,44 @@ class TestMultimodalQueries:
         # full-scale sine → rms ≈ amplitude/sqrt(2) (int16 quantized)
         assert np.allclose(df.rms, 10000 / math.sqrt(2), rtol=0.02)
         assert (df.zero_crossings > 0).all()
+
+    def test_stateless_stages_finish_on_one_cpu(self):
+        """image_meta, image_dhash_dups and audio_features map stages with
+        no real state, so they run as tasks and finish on a 1-CPU session
+        (a fixed actor pool there reserved the CPU the reads need, and the
+        queries never finished). Own Ray session in a child process group,
+        killed whole on timeout."""
+        import json
+        import signal
+        import subprocess
+
+        script = (
+            "import json, ray\n"
+            "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+            " logging_level='ERROR')\n"
+            "from mobile_ocr_api_ray.pipelines import analysis as a\n"
+            "print(json.dumps({q: getattr(a, q)(%r).count() for q in"
+            " ('image_meta', 'image_dhash_dups', 'audio_features')}))\n"
+            "ray.shutdown()\n" % SF)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        p = subprocess.Popen([sys.executable, "-c", script], cwd=root,
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                             text=True, start_new_session=True)
+        try:
+            out, _ = p.communicate(timeout=ONE_CPU_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(p.pid, signal.SIGKILL)
+            p.communicate()
+            pytest.fail(f"multimodal queries unfinished after "
+                        f"{ONE_CPU_TIMEOUT_S} s on a 1-CPU session")
+        finally:
+            try:
+                os.killpg(p.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert p.returncode == 0
+        counts = json.loads(out.strip().splitlines()[-1])
+        assert all(n > 0 for n in counts.values()), counts
 
 
 class TestCorpusScoringQueries:

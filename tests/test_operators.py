@@ -409,8 +409,8 @@ class TestPagesOps:
 
         pages_path = os.path.join(small_corpus, "pages.parquet")
         # inline path, pdf rows only
-        full = extract_pipeline(read_pages(pages_path), with_summary=False,
-                                concurrency=2).to_pandas()
+        full = extract_pipeline(read_pages(pages_path),
+                                with_summary=False).to_pandas()
         inline = full[(full.payload_kind == "pdf") & (full.source == "kernel")]
         if len(inline) == 0:
             pytest.skip("no pdf kernel rows in corpus tier")

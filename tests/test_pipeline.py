@@ -34,7 +34,7 @@ def _golden_check(result_df, golden_path):
 @pytest.fixture(scope="module")
 def extracted(ray_session, small_corpus):
     ds = read_pages(os.path.join(small_corpus, "pages.parquet"))
-    return extract_pipeline(ds, concurrency=3, batch_size=16).to_pandas()
+    return extract_pipeline(ds).to_pandas()
 
 
 class TestGolden:
@@ -68,12 +68,11 @@ class TestGolden:
 
 
 class TestInvariance:
-    """Extraction output independent of partitioning / batch size / concurrency
-    (SURVEY.md §5 item 3)."""
+    """Extraction output independent of partitioning (SURVEY.md §5 item 3)."""
 
     def test_partitioning_invariance(self, ray_session, small_corpus, extracted):
         ds = read_pages(os.path.join(small_corpus, "pages.parquet")).repartition(17)
-        alt = extract_pipeline(ds, concurrency=2, batch_size=7).to_pandas()
+        alt = extract_pipeline(ds).to_pandas()
         a = extracted.sort_values("url").reset_index(drop=True)
         b = alt.sort_values("url").reset_index(drop=True)
         assert (a.extracted_text == b.extracted_text).all()
@@ -135,11 +134,21 @@ class TestNavigation:
 
 class TestSkewAware:
     def test_big_rows_isolated_same_results(self, ray_session, small_corpus):
+        """A multi-MB row rides the one extraction path like any other: it
+        comes out ok, and the rows it shares the pipeline with extract
+        exactly as they do without it."""
+        import pyarrow.compute as pc
+        import ray
         import ray.data
-        from mobile_ocr_api_ray.pipelines.extract import (
-            extract_pipeline, extract_pipeline_skew_aware)
-        ds = read_pages(os.path.join(small_corpus, "pages.parquet")).limit(64)
-        base = ds.to_pandas()
+        from mobile_ocr_api_ray import corpus
+
+        def extract(ds):
+            out = pa.concat_tables(ray.get(extract_pipeline(ds).to_arrow_refs()))
+            return out.drop_columns(["processing_time_ms"]).sort_by("url")
+
+        base = ray.data.from_arrow(pa.concat_tables(ray.get(
+            read_pages(os.path.join(small_corpus, "pages.parquet"))
+            .limit(64).to_arrow_refs())))
         # graft one oversized html row (3 MB of real page structure)
         big_html = (b"<html><body>" + b"<p>Huge page sentence here. </p>" * 100000
                     + b"</body></html>")
@@ -147,14 +156,18 @@ class TestSkewAware:
                         "html": pa.array([big_html], pa.binary()),
                         "text": pa.array([None], pa.string()),
                         "lang": pa.array(["en"], pa.string())})
-        mixed = ray.data.from_arrow(
-            pa.Table.from_pandas(base, preserve_index=False)).union(
-            ray.data.from_arrow(big))
-        plain = extract_pipeline(mixed).to_pandas().sort_values("url").reset_index(drop=True)
-        skew = extract_pipeline_skew_aware(mixed).to_pandas().sort_values("url").reset_index(drop=True)
-        assert plain.url.tolist() == skew.url.tolist()
-        assert plain.extracted_text.tolist() == skew.extracted_text.tolist()
-        assert skew[skew.url == "big://1"].status.iloc[0] == "ok"
+        alone = extract(base)
+        mixed = extract(base.union(ray.data.from_arrow(big)))
+        is_big = pc.equal(mixed["url"], "big://1")
+        assert mixed.filter(is_big)["status"].to_pylist() == ["ok"]
+        assert alone.num_rows == 64
+        assert mixed.filter(pc.invert(is_big)).equals(alone)
+        # the 1000-row pages corpus (the sf0.001 tier's) keeps a payload
+        # over 2 MiB
+        pages = pq.read_table(os.path.join(
+            corpus.ensure_corpus(1000, seed=42), "pages.parquet"),
+            columns=["html"])
+        assert pc.max(pc.binary_length(pages["html"])).as_py() > 2 << 20
 
 
 class TestSummarizeStage:
@@ -247,42 +260,6 @@ class TestTitleBodyPairs:
             assert n / nb <= PAIR_BUCKET_ROWS
 
 
-class TestSkewQuerySurface:
-    """extract_pages_skew (the queries() surface for the skew-aware
-    branch): output identical to extract_pages, with the big-row branch
-    demonstrably taken — the corpus's guaranteed multi-MB row lands in it
-    and rides only BIG_ROW_BATCH-sized batches."""
-
-    SF = "/root/testdata/sf0.001"
-
-    def test_big_branch_taken_and_batch_bounded(self, ray_session):
-        from mobile_ocr_api_ray.pipelines.analysis import _pages_dir_for
-        from mobile_ocr_api_ray.pipelines.extract import (
-            BIG_ROW_BATCH, BIG_ROW_BYTES, _payload_len)
-        import pyarrow.compute as pc
-
-        ds = read_pages(os.path.join(_pages_dir_for(self.SF),
-                                     "pages.parquet"))
-        big = ds.map_batches(
-            lambda b: b.filter(pc.greater(_payload_len(b), BIG_ROW_BYTES)),
-            batch_format="pyarrow")
-        n_big = big.count()
-        assert n_big >= 1      # the corpus's guaranteed oversized row
-        # the big branch's batches never exceed BIG_ROW_BATCH rows
-        sizes = big.map_batches(
-            lambda b: pa.table({"n": pa.array([b.num_rows], pa.int64())}),
-            batch_format="pyarrow", batch_size=BIG_ROW_BATCH).to_pandas()
-        assert (sizes.n <= BIG_ROW_BATCH).all()
-
-    def test_skew_query_matches_plain(self, ray_session):
-        import pandas as pd
-        from mobile_ocr_api_ray.pipelines.analysis import (
-            extract_pages, extract_pages_skew)
-        a = extract_pages(self.SF).to_pandas().reset_index(drop=True)
-        b = extract_pages_skew(self.SF).to_pandas().reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-
-
 class TestExtractionEvalRouting:
     def test_broadcast_and_shuffle_routes_agree(self, ray_session):
         import pandas as pd
@@ -297,13 +274,3 @@ class TestExtractionEvalRouting:
         # the invariant itself: every guaranteed row matched byte-for-byte
         assert (bcast["n_byte_exact"] == bcast["n_guaranteed"]).all()
 
-
-class TestActorQuerySurface:
-    def test_actor_path_matches_task_path(self, ray_session):
-        import pandas as pd
-        from mobile_ocr_api_ray.pipelines.analysis import (
-            extract_pages, extract_pages_actors)
-        sf = "/root/testdata/sf0.001"
-        a = extract_pages(sf).to_pandas().reset_index(drop=True)
-        b = extract_pages_actors(sf).to_pandas().reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)

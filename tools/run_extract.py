@@ -32,7 +32,6 @@ def main() -> int:
                          "and task parallelism)")
     ap.add_argument("--quality", default="medium",
                     choices=["low", "medium", "high", "v1"])
-    ap.add_argument("--batch-size", type=int, default=None)
     ap.add_argument("--max-partitions", type=int, default=None,
                     help="process at most N incomplete partitions (smoke runs)")
     args = ap.parse_args()
@@ -43,15 +42,12 @@ def main() -> int:
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
                  include_dashboard=False, logging_level="ERROR")
 
-    from mobile_ocr_api_ray.pipelines.extract import EXTRACT_BATCH_SIZE
     from mobile_ocr_api_ray.state.manifest import (completed_partitions,
                                                    run_partitioned_extract)
 
     summary = run_partitioned_extract(
         args.input, args.out, n_partitions=args.partitions,
-        quality=args.quality,
-        batch_size=args.batch_size or EXTRACT_BATCH_SIZE,
-        max_partitions=args.max_partitions)
+        quality=args.quality, max_partitions=args.max_partitions)
     done = len(completed_partitions(args.out))
     summary["completed_total"] = done
     print(json.dumps(summary))
