@@ -797,7 +797,8 @@ def _curation_recipe_sql(golden_path: str) -> str:
           UNION ALL SELECT 7, 'gopher_gate', k3, k4, 0, '' FROM cnt
           UNION ALL SELECT 8, 'host_split', k4, k4, 0, '' FROM cnt
           UNION ALL SELECT 9, 'pack_plan', ntr, ntr, 0, '' FROM cnt
-          UNION ALL SELECT 10, 'export', ntr, ntr, 1, '' FROM cnt
+          UNION ALL SELECT 10, 'export', ntr, ntr,
+                           CASE WHEN ntr > 0 THEN 1 ELSE 0 END, '' FROM cnt
           UNION ALL SELECT 11 + shard_id,
                            'export_shard_' || cast(shard_id AS VARCHAR),
                            n, n, 0, digest

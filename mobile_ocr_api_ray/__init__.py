@@ -9,7 +9,7 @@ Layout
 - ``functions/``  pure scalar operators, byte-exact ports of the reference's
   deterministic functions (sentence split, scoring, summarize, routing,
   navigation clamps — SURVEY.md §2.8).
-- ``stages/``     per-batch transforms & actor-pool stages (HTML boilerplate
+- ``stages/``     per-batch transforms & map stages (HTML boilerplate
   strip, bitmap OCR kernels, structure analysis, dedup, text analysis,
   similarity search, multimodal plumbing — SURVEY.md §2.2/2.3/2.7).
 - ``sources/``    readers/sinks for the ``pages`` input table (SURVEY.md §2.1).

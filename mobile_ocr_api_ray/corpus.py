@@ -406,8 +406,8 @@ def ensure_corpus(n_rows: int, seed: int = 42,
 
     Pages are sharded across many parquet FILES (not just row groups):
     ray.data parallelizes reads per file, so a single monolithic file
-    serializes the read stage and starves the extraction actor pool
-    (observed: 1 read task bottlenecked a 32-actor pipeline at ~300 docs/s).
+    serializes the read stage and starves the extraction tasks downstream
+    (observed: 1 read task bottlenecked a 32-way pipeline at ~300 docs/s).
     Shard count targets >= 4 blocks per CPU at 32 CPUs (SURVEY.md §4).
     ``pages.parquet`` is a directory of shards; ``read_pages`` and plain
     pyarrow both read it transparently.
@@ -418,9 +418,12 @@ def ensure_corpus(n_rows: int, seed: int = 42,
     complete private copy and exactly one rename wins; the loser discards
     its copy and uses the winner's. A crash mid-generation leaves only a
     stray temp dir, never a half-written tier that the ``_DONE`` marker
-    would misreport as complete.
+    would misreport as complete. Debris in the way is moved aside by
+    rename before it is deleted, and a directory holding ``_DONE`` is
+    never deleted.
     """
     import shutil
+    import tempfile
 
     d = os.path.join(base, f"v{CORPUS_VERSION}_n{n_rows}_s{seed}")
     marker = os.path.join(d, "_DONE")
@@ -443,15 +446,33 @@ def ensure_corpus(n_rows: int, seed: int = 42,
                    row_group_size=max(16, n_rows // 64))
     with open(os.path.join(tmp, "_DONE"), "w") as f:
         f.write("ok")
-    try:
-        os.rename(tmp, d)
-    except OSError:
-        # lost the race (or a stale partial dir from a pre-v9 crash is in
-        # the way): trust the winner iff its marker committed, else
-        # replace the debris with our complete copy
+    for _ in range(8):
+        try:
+            os.rename(tmp, d)
+            return d
+        except OSError:
+            pass
+        # lost the race, or a stale partial dir from a pre-v9 crash is in
+        # the way: trust the winner iff its marker committed
         if os.path.exists(marker):
             shutil.rmtree(tmp, ignore_errors=True)
-        else:
-            shutil.rmtree(d, ignore_errors=True)
-            os.rename(tmp, d)
+            return d
+        # else move the debris aside (one atomic rename, so only one
+        # process takes it) and retry; a tier that committed between the
+        # check and the move is put back, never deleted
+        holder = tempfile.mkdtemp(prefix=os.path.basename(d) + ".debris.",
+                                  dir=base)
+        aside = os.path.join(holder, "d")
+        try:
+            os.rename(d, aside)
+        except OSError:
+            os.rmdir(holder)
+            continue
+        if os.path.exists(os.path.join(aside, "_DONE")):
+            try:
+                os.rename(aside, d)
+            except OSError:
+                continue
+        shutil.rmtree(holder, ignore_errors=True)
+    os.rename(tmp, d)
     return d

@@ -393,27 +393,20 @@ def nb_source_predictions(sf_dir: str):
     zero external dependencies."""
     docs = _docs(sf_dir, ["doc_id", "text", "source"]).materialize()
     model = text_analysis.nb_fit(docs)
-    mref = ray.put(model)
 
-    class Predict:
-        def __init__(self, ref):
-            self.model = ray.get(ref)
+    def predict(batch: pa.Table) -> pa.Table:
+        out = text_analysis.nb_predict(batch, model)
+        # fit maps null labels to '' — compare against the same
+        correct = pc.equal(out["pred"],
+                           pc.fill_null(pc.cast(batch["source"],
+                                                pa.string()), ""))
+        return pa.table({
+            "doc_id": out["doc_id"],
+            "source": batch["source"],
+            "pred": out["pred"],
+            "correct": pc.fill_null(correct, False)})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            out = text_analysis.nb_predict(batch, self.model)
-            # fit maps null labels to '' — compare against the same
-            correct = pc.equal(out["pred"],
-                               pc.fill_null(pc.cast(batch["source"],
-                                                    pa.string()), ""))
-            return pa.table({
-                "doc_id": out["doc_id"],
-                "source": batch["source"],
-                "pred": out["pred"],
-                "correct": pc.fill_null(correct, False)})
-
-    return docs.map_batches(Predict, fn_constructor_kwargs={"ref": mref},
-                            batch_format="pyarrow", concurrency=4,
-                            num_cpus=0.5).sort("doc_id")
+    return docs.map_batches(predict, batch_format="pyarrow").sort("doc_id")
 
 
 KWIC_TERM = "data"

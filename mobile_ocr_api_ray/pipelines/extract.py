@@ -38,8 +38,7 @@ SUMMARY_RATIO = 0.3          # app2.py:1447
 SUMMARY_MAX_SENTENCES = 5    # app2.py:1447: "Max 5 kalimat untuk mobile"
 
 
-def summarize_batch(batch: pa.Table, ratio: float = SUMMARY_RATIO,
-                    max_sentences: int | None = SUMMARY_MAX_SENTENCES) -> pa.Table:
+def summarize_batch(batch: pa.Table) -> pa.Table:
     """Stateless summary stage (v2 semantics, canonical per SURVEY.md D3).
 
     For ok rows: < 30 words → summary = text verbatim (app2.py:1336-1342),
@@ -58,7 +57,7 @@ def summarize_batch(batch: pa.Table, ratio: float = SUMMARY_RATIO,
         if len(text.split()) < SUMMARY_MIN_WORDS:
             s = text
         else:
-            s = summarize(text, ratio, max_sentences)
+            s = summarize(text, SUMMARY_RATIO, SUMMARY_MAX_SENTENCES)
         summaries.append(s)
         ratios.append(compression_ratio(s, text))
     i_s = batch.column_names.index("summary")

@@ -524,7 +524,8 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
         (7, "gopher_gate", k3, k4, 0, ""),
         (8, "host_split", k4, k4, 0, ""),
         (9, "pack_plan", n_train, n_train, 0, ""),
-        (10, "export", n_train, n_train, 1, ""),
+        # pass 3 is the one text exchange, and it runs only for train rows
+        (10, "export", n_train, n_train, 1 if n_train > 0 else 0, ""),
     ]
     rows += [(11 + int(s["shard_id"]),
               f"export_shard_{int(s['shard_id'])}",

@@ -1,1 +1,1 @@
-"""Per-batch transforms and actor-pool stages (SURVEY.md §2.2/2.3/2.7)."""
+"""Per-batch transforms and map stages (SURVEY.md §2.2/2.3/2.7)."""

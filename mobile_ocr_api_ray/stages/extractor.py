@@ -188,8 +188,7 @@ class ExtractorActor:
     the distribution caveat) or the callable itself (serialized with the
     constructor args; the distribution-safe path for user kernels)."""
 
-    def __init__(self, quality: str = "medium", do_deskew: bool = False,
-                 build_spans: bool = True,
+    def __init__(self, quality: str = "medium", build_spans: bool = True,
                  kernels: dict[str, str | object] | None = None,
                  build_visualization: bool = False,
                  lru_size: int = 512,
@@ -212,12 +211,12 @@ class ExtractorActor:
         self.quality = quality if quality in QUALITY_PARAMS else "medium"
         (self.preprocess_kind, self.ocr_mode,
          self.max_dim, self.jpeg_quality) = route_quality(self.quality)
-        self.do_deskew = do_deskew
         self.build_spans = build_spans
         self.kernel_invocations = 0  # dedup-property observability (A2)
+        # deskew stays off unless a row's kernel_config says deskew=1
         self._ctx = {"preprocess_kind": self.preprocess_kind,
                      "ocr_mode": self.ocr_mode, "max_dim": self.max_dim,
-                     "jpeg_quality": self.jpeg_quality, "do_deskew": self.do_deskew,
+                     "jpeg_quality": self.jpeg_quality, "do_deskew": False,
                      "quality": self.quality}
         overrides = kernels or {}
         self._kernels = {}

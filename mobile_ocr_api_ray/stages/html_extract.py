@@ -29,7 +29,7 @@ code — tests meet at byte equality):
    nothing is kept (confidence-calc-failure ladder rung, app2.py:369).
 
 All regexes are compiled at module import — once per worker process
-(the actor-__init__-equivalent for these pure kernels).
+(the load-once state of these pure kernels).
 """
 
 from __future__ import annotations

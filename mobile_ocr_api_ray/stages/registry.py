@@ -16,11 +16,11 @@ paragraph_dicts, total_pages)`` where ``ctx`` carries the routed params
 ``paragraph_dicts`` is ``[{text, x, y, width, height, column}]``.
 
 Distribution note: name-based resolution happens inside the worker process
-at actor init, so a name is only resolvable if its ``register_kernel`` call
+when the extractor is built, so a name is only resolvable if its ``register_kernel`` call
 runs at import time of a module the workers import. Arbitrary user kernels
 should instead be passed as the callable itself —
 ``ExtractorActor(kernels={"html": my_fn})`` — which Ray serializes with the
-actor constructor args (closure capture), the distribution-safe path. The
+stage (closure capture), the distribution-safe path. The
 standard UDF hook beyond kernels is ordinary composition: any
 ``map_batches``-compatible callable inserted between pipeline stages.
 """

@@ -1,12 +1,12 @@
 """Similarity search over an embedding column (list<float>).
 
 Baseline: brute-force cosine top-k — per-batch numpy matmul of the batch's
-embedding block against a broadcast query matrix (``ray.put`` once, read in
-the actor's ``__init__``, never re-shipped per batch), local top-k per
-batch, then a tiny groupby(query_id) global top-k reduce. Scale path:
-sign-LSH (IVF-style) bucketing — vectors are bucketed once; a query probes
-only its own (multi-probe) buckets, turning the scan into a fraction of the
-corpus at a measured recall cost (tested against brute force).
+embedding block against the query matrix (normalized once on the driver,
+carried by the stage instance that Ray stores once per operator), local
+top-k per batch, then a tiny groupby(query_id) global top-k reduce. Scale
+path: sign-LSH (IVF-style) bucketing — vectors are bucketed once; a query
+probes only its own (multi-probe) buckets, turning the scan into a fraction
+of the corpus at a measured recall cost (tested against brute force).
 
 Deterministic: fixed hyperplanes from RandomState(42), stable tie-breaks
 (score desc, vec_id asc).
@@ -52,12 +52,10 @@ def _batch_matrix(batch: pa.Table, id_col: str = "vec_id",
 
 
 class BruteTopKStage:
-    """Actor-pool stage: per-batch cosine vs broadcast queries → local top-k."""
+    """Task stage: per-batch cosine vs the query matrix → local top-k."""
 
-    def __init__(self, queries_ref, k: int):
-        import ray
-        q = ray.get(queries_ref) if not isinstance(queries_ref, np.ndarray) else queries_ref
-        self.queries = _normalize(np.asarray(q, dtype=np.float64))
+    def __init__(self, queries: np.ndarray, k: int):
+        self.queries = _normalize(np.asarray(queries, dtype=np.float64))
         self.k = k
 
     def _prepare(self, mat: np.ndarray) -> np.ndarray:
@@ -97,18 +95,11 @@ def _global_topk(candidates, k: int):
     return candidates.groupby("query_id").map_groups(reduce_group, batch_format="pandas")
 
 
-def brute_topk(ds, queries: np.ndarray, k: int = 10, concurrency: int | None = None):
+def brute_topk(ds, queries: np.ndarray, k: int = 10):
     """Exact cosine top-k for each query vector. Returns
     (query_id, vec_id, cosine, rank)."""
-    import ray
-    qref = ray.put(np.asarray(queries, dtype=np.float64))
-    candidates = ds.map_batches(
-        BruteTopKStage,
-        fn_constructor_kwargs={"queries_ref": qref, "k": k},
-        batch_format="pyarrow", batch_size=4096,
-        # fractional num_cpus: a pool reserving every session CPU starves
-        # upstream stages into deadlock (pipelines/extract.py pool rule)
-        concurrency=concurrency or 4, num_cpus=0.5)
+    candidates = ds.map_batches(BruteTopKStage(queries, k),
+                                batch_format="pyarrow", batch_size=4096)
     return _global_topk(candidates, k)
 
 
@@ -257,20 +248,14 @@ class QuantBruteStage(BruteTopKStage):
         return q.astype(np.float64) * scale[:, None]
 
 
-def quantized_topk(ds, queries: np.ndarray, k: int = 10,
-                   concurrency: int | None = None):
+def quantized_topk(ds, queries: np.ndarray, k: int = 10):
     """Cosine top-k over int8-quantized (then dequantized) vectors.
     Same shape as ``brute_topk``; returns (query_id, vec_id, cosine,
     rank). Rows-only at the driver gate (the dequantized dot product is
     a SIMD float sum — not order-replayable in SQL); recall vs the
     exact ranking is pinned by test."""
-    import ray
-    qref = ray.put(np.asarray(queries, dtype=np.float64))
-    candidates = ds.map_batches(
-        QuantBruteStage,
-        fn_constructor_kwargs={"queries_ref": qref, "k": k},
-        batch_format="pyarrow", batch_size=4096,
-        concurrency=concurrency or 4, num_cpus=0.5)
+    candidates = ds.map_batches(QuantBruteStage(queries, k),
+                                batch_format="pyarrow", batch_size=4096)
     return _global_topk(candidates, k)
 
 
@@ -432,9 +417,9 @@ def fixed_queries(dim: int, n_queries: int = 4, seed: int = 7) -> np.ndarray:
 
 
 class KnnGraphStage:
-    """Actor-pool stage: each corpus block matmuls against the broadcast
-    index (ray.put once, loaded in __init__ — never re-shipped per batch)
-    and emits its rows' top-k neighbors.
+    """Task stage: each corpus block matmuls against the index (one shared
+    object-store copy, read zero-copy with ``ray.get`` per batch — never
+    re-shipped) and emits its rows' top-k neighbors.
 
     The index side is assumed to fit one node's memory — the standard
     ANN-index assumption (same as the IVF centroid/LSH bucket tables); for
@@ -443,14 +428,11 @@ class KnnGraphStage:
     bucket instead of scanning all-pairs."""
 
     def __init__(self, index_ref, k: int):
-        import ray
-        ids, mat = ray.get(index_ref)
-        order = np.argsort(ids)           # ascending nbr_id → stable
-        self.index_ids = ids[order]       # argsort ties break to id asc
-        self.index = mat[order]
+        self.index_ref = index_ref
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import ray
         ids, mat = _batch_matrix(batch)
         if len(ids) == 0:  # same empty-block guard as BruteTopKStage
             return pa.table({
@@ -458,19 +440,20 @@ class KnnGraphStage:
                 "rank": pa.array([], pa.int64()),
                 "nbr_id": pa.array([], pa.int64()),
                 "cosine": pa.array([], pa.float64())})
+        index_ids, index = ray.get(self.index_ref)
         vecs = _normalize(mat)
-        sims = vecs @ self.index.T        # (n, corpus)
-        self_pos = ids[:, None] == self.index_ids[None, :]
+        sims = vecs @ index.T             # (n, corpus)
+        self_pos = ids[:, None] == index_ids[None, :]
         sims[self_pos] = -np.inf          # a vector is not its own neighbor
         # stable argsort of -sims: desc by cosine, ties → lower index
-        # position = lower nbr_id (index sorted ascending in __init__)
+        # position = lower nbr_id (the build task sorts the index by id)
         k = min(self.k, sims.shape[1] - 1)
         order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
         n = len(ids)
         return pa.table({
             "vec_id": pa.array(np.repeat(ids, k), pa.int64()),
             "rank": pa.array(np.tile(np.arange(1, k + 1, dtype=np.int64), n)),
-            "nbr_id": pa.array(self.index_ids[order].ravel(), pa.int64()),
+            "nbr_id": pa.array(index_ids[order].ravel(), pa.int64()),
             "cosine": pa.array(np.take_along_axis(sims, order, axis=1).ravel(),
                                pa.float64())})
 
@@ -482,8 +465,8 @@ KNN_LSH_BUCKET_ROWS = 1_024     # scale path: target rows per bucket
 
 def _knn_index_from_blocks(block_tables, id_col: str, emb_col: str):
     """Concatenate dataset blocks into the (ids, unit matrix) broadcast
-    index. Runs INSIDE a Ray task — blocks go object store → worker, the
-    corpus never passes through the driver heap."""
+    index, sorted by id. Runs INSIDE a Ray task — blocks go object store →
+    worker, the corpus never passes through the driver heap."""
     import ray
 
     tables = ray.get(list(block_tables))
@@ -493,11 +476,11 @@ def _knn_index_from_blocks(block_tables, id_col: str, emb_col: str):
            else np.array([], np.int64))
     mat = (_normalize(np.concatenate([p[1] for p in parts]))
            if parts else np.zeros((0, 1)))
-    return ids, mat
+    order = np.argsort(ids)               # ascending nbr_id → stable
+    return ids[order], mat[order]         # argsort ties break to id asc
 
 
-def knn_graph(ds, k: int = 5, concurrency: int | None = None,
-              index_cap_rows: int = KNN_INDEX_CAP_ROWS,
+def knn_graph(ds, k: int = 5, index_cap_rows: int = KNN_INDEX_CAP_ROWS,
               on_overflow: str = "lsh", n_rows: "int | None" = None):
     """Cosine k-nearest-neighbor graph over the corpus (self excluded):
     (vec_id, rank, nbr_id, cosine).
@@ -506,7 +489,7 @@ def knn_graph(ds, k: int = 5, concurrency: int | None = None,
     assumption): EXACT — the corpus doubles as the broadcast index, built
     by a Ray task from the dataset's own block refs (``to_arrow_refs``;
     the driver handles only ObjectRefs, never the vectors) and streamed
-    against once via the actor pool. Past the cap, ``on_overflow`` decides:
+    against once by plain map tasks. Past the cap, ``on_overflow`` decides:
 
     - ``'lsh'`` (default): route to the bucketed approximate
       ``knn_graph_lsh`` — no single node can hold the index, so candidates
@@ -559,11 +542,8 @@ def knn_graph(ds, k: int = 5, concurrency: int | None = None,
     build = ray.remote(num_cpus=1)(_knn_index_from_blocks)
     index_ref = build.remote(refs, "vec_id", "embedding")
 
-    return ds.map_batches(
-        KnnGraphStage,
-        fn_constructor_kwargs={"index_ref": index_ref, "k": k},
-        batch_format="pyarrow", batch_size=4096,
-        concurrency=concurrency or 4, num_cpus=0.5)
+    return ds.map_batches(KnnGraphStage(index_ref, k),
+                          batch_format="pyarrow", batch_size=4096)
 
 
 def knn_graph_lsh(ds, k: int = 5, n_tables: int = KNN_LSH_TABLES,
@@ -788,11 +768,8 @@ def mmr_select(ds, query: np.ndarray, k: int = 16, lam: float = 0.7,
 
     q = np.asarray(query, dtype=np.float64).reshape(1, -1)
     cand = _global_topk(
-        ds.map_batches(
-            BruteTopKStage,
-            fn_constructor_kwargs={"queries_ref": q, "k": shortlist},
-            batch_format="pyarrow", batch_size=4096,
-            concurrency=4, num_cpus=0.5),
+        ds.map_batches(BruteTopKStage(q, shortlist),
+                       batch_format="pyarrow", batch_size=4096),
         shortlist).to_pandas()
     cols = {"rank": pa.int64(), id_col: pa.int64(),
             "relevance": pa.float64(), "mmr_score": pa.float64()}

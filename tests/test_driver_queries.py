@@ -103,25 +103,33 @@ class TestMultimodalQueries:
         assert np.allclose(df.rms, 10000 / math.sqrt(2), rtol=0.02)
         assert (df.zero_crossings > 0).all()
 
-    def test_stateless_stages_finish_on_one_cpu(self):
-        """image_meta, image_dhash_dups and audio_features map stages with
-        no real state, so they run as tasks and finish on a 1-CPU session
-        (a fixed actor pool there reserved the CPU the reads need, and the
-        queries never finished). Own Ray session in a child process group,
-        killed whole on timeout."""
+    def test_map_stages_finish_on_one_cpu(self):
+        """Every map stage runs as plain tasks, so these queries finish on
+        a 1-CPU session: the stateless multimodal stages and the stages
+        that carry driver-built state (query matrix, knn index, Naive
+        Bayes model). A fixed actor pool there reserved the CPU the reads
+        need, and the queries never finished. Own Ray session in a child
+        process group, killed whole on timeout."""
         import json
         import signal
         import subprocess
+        import time
 
         script = (
             "import json, ray\n"
             "ray.init(address='local', num_cpus=1, include_dashboard=False,"
             " logging_level='ERROR')\n"
+            "import pyarrow as pa\n"
             "from mobile_ocr_api_ray.pipelines import analysis as a\n"
-            "print(json.dumps({q: getattr(a, q)(%r).count() for q in"
-            " ('image_meta', 'image_dhash_dups', 'audio_features')}))\n"
+            "def rows(r):\n"
+            "    return r.num_rows if isinstance(r, pa.Table) else r.count()\n"
+            "print(json.dumps({q: rows(getattr(a, q)(%r)) for q in"
+            " ('image_meta', 'image_dhash_dups', 'audio_features',"
+            " 'ann_brute_topk', 'ann_quantized_topk', 'knn_graph_topk',"
+            " 'mmr_diverse_sample', 'nb_source_predictions')}))\n"
             "ray.shutdown()\n" % SF)
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        t0 = time.monotonic()
         p = subprocess.Popen([sys.executable, "-c", script], cwd=root,
                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                              text=True, start_new_session=True)
@@ -130,13 +138,14 @@ class TestMultimodalQueries:
         except subprocess.TimeoutExpired:
             os.killpg(p.pid, signal.SIGKILL)
             p.communicate()
-            pytest.fail(f"multimodal queries unfinished after "
+            pytest.fail(f"map-stage queries unfinished after "
                         f"{ONE_CPU_TIMEOUT_S} s on a 1-CPU session")
         finally:
             try:
                 os.killpg(p.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+        print(f"1-CPU child finished in {time.monotonic() - t0:.1f} s")
         assert p.returncode == 0
         counts = json.loads(out.strip().splitlines()[-1])
         assert all(n > 0 for n in counts.values()), counts
@@ -663,6 +672,55 @@ class TestCurationRecipe:
         pd.testing.assert_frame_equal(m1, m3)
         new_parts = sorted(glob.glob(os.path.join(wd, "checkpoint", "*")))
         assert [os.path.getmtime(p) for p in new_parts] != stamps
+
+    def test_no_train_rows_no_text_exchange(self, queries, small_corpus,
+                                            tmp_path, monkeypatch):
+        """Pages whose hosts all split to val/test: no row is kept_train,
+        so pass 3 never runs and the export row states 0 text exchanges,
+        in the engine and in the composed oracle alike."""
+        import hashlib
+        import re
+
+        import duckdb
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        import __ray_entry__ as e
+        from mobile_ocr_api_ray.pipelines import analysis
+        from mobile_ocr_api_ray.pipelines.recipe import curation_recipe
+
+        golden = pq.read_table(os.path.join(small_corpus, "golden.parquet"))
+
+        def is_train(url):
+            m = re.match(r"^[A-Za-z][A-Za-z0-9+.-]*://([^/?#]+)", url)
+            host = m.group(1).lower() if m else ""
+            h = int(hashlib.md5(host.encode()).hexdigest()[:8], 16)
+            return h < (1 << 32) * 90 // 100
+
+        urls = pa.array([u for u in golden["url"].to_pylist()
+                         if not is_train(u)], pa.string())
+        corpus_dir = tmp_path / "corpus"
+        (corpus_dir / "pages.parquet").mkdir(parents=True)
+        pages = pq.read_table(os.path.join(small_corpus, "pages.parquet"))
+        pq.write_table(pages.filter(pc.is_in(pages["url"], urls)),
+                       corpus_dir / "pages.parquet" / "shard-0000.parquet")
+        gpath = str(corpus_dir / "golden.parquet")
+        pq.write_table(golden.filter(pc.is_in(golden["url"], urls)), gpath)
+        monkeypatch.setattr(analysis, "_pages_dir_for",
+                            lambda sf_dir: str(corpus_dir))
+
+        m = curation_recipe(str(tmp_path / "sf"),
+                            work_dir=str(tmp_path / "work")) \
+            .to_pandas().set_index("stage")
+        odf = duckdb.connect().execute(e._curation_recipe_sql(gpath)) \
+            .df().set_index("stage")
+        assert m.loc["host_split"].rows_out > 0
+        assert m.loc["pack_plan"].rows_in == 0
+        assert m.loc["export"].text_exchanges == 0
+        assert odf.loc["export"].text_exchanges == 0
+        assert list(m.index) == list(odf.index)
+        for col in ("stage_idx", "rows_in", "rows_out", "text_exchanges"):
+            assert m[col].astype("int64").tolist() == \
+                odf[col].astype("int64").tolist(), col
 
     def test_fate_priority_ladder(self):
         """Unit-pin the fate ladder with an 8-case truth table (the

@@ -274,3 +274,62 @@ class TestExtractionEvalRouting:
         # the invariant itself: every guaranteed row matched byte-for-byte
         assert (bcast["n_byte_exact"] == bcast["n_guaranteed"]).all()
 
+
+
+class TestCorpusTierRace:
+    def test_loser_never_deletes_a_committed_tier(self, tmp_path,
+                                                  monkeypatch):
+        """Interleaving: this process's rename fails on debris without
+        ``_DONE``; right after it checks the marker, another process moves
+        the debris away and installs a complete tier. The loser must keep
+        that tier, not delete it and put its own copy in its place."""
+        from mobile_ocr_api_ray import corpus
+
+        base = str(tmp_path)
+        d = os.path.join(base, f"v{corpus.CORPUS_VERSION}_n16_s3")
+        os.makedirs(os.path.join(d, "pages.parquet"))  # debris: no _DONE
+        marker = os.path.join(d, "_DONE")
+        real_rename, real_exists = os.rename, os.path.exists
+        state = {"tried": False, "installed": False}
+
+        def rename(src, dst):
+            if dst == d and ".tmp." in src:
+                state["tried"] = True
+            return real_rename(src, dst)
+
+        def exists(path):
+            found = real_exists(path)
+            if path == marker and state["tried"] and not state["installed"]:
+                state["installed"] = True  # the other process wins here
+                real_rename(d, os.path.join(base, "other-debris"))
+                os.makedirs(d)
+                for name in ("_DONE", "winner"):
+                    open(os.path.join(d, name), "w").close()
+            return found
+
+        monkeypatch.setattr(os, "rename", rename)
+        monkeypatch.setattr(os.path, "exists", exists)
+        assert corpus.ensure_corpus(16, seed=3, base=base) == d
+        monkeypatch.undo()
+        assert state["installed"]
+        assert os.path.exists(os.path.join(d, "winner"))
+        assert sorted(os.listdir(base)) == sorted(
+            [os.path.basename(d), "other-debris"])
+
+    def test_racing_processes_share_one_complete_tier(self, tmp_path):
+        """Four processes race on a tier with debris in the way: each
+        returns the tier dir, which ends complete, with no temp dir left."""
+        import multiprocessing
+
+        from mobile_ocr_api_ray import corpus
+
+        base = str(tmp_path)
+        d = os.path.join(base, f"v{corpus.CORPUS_VERSION}_n16_s3")
+        os.makedirs(os.path.join(d, "pages.parquet"))  # debris: no _DONE
+        with multiprocessing.get_context("spawn").Pool(4) as pool:
+            got = pool.starmap_async(corpus.ensure_corpus,
+                                     [(16, 3, base)] * 4).get(timeout=120)
+        assert got == [d] * 4
+        assert os.path.exists(os.path.join(d, "_DONE"))
+        assert pq.read_table(os.path.join(d, "golden.parquet")).num_rows == 16
+        assert not [n for n in os.listdir(base) if ".tmp." in n]
