@@ -24,7 +24,12 @@ the sandbox — SURVEY.md §7):
   x-gap > 10%·width rule (app.py:916-944).
 - M3/M4 recognize: per-cell template match against the glyph table;
   confidence = mean per-glyph match score ×100, fallback 80.0 when no
-  glyphs (app.py:586-593 mean-word-confidence + 80.0 fallback).
+  glyphs (app.py:586-593 mean-word-confidence + 80.0 fallback). A page is
+  recognized in one pass: layout lays out the character grid of every
+  line band, then the page's cells are grouped by shape and each group is
+  scored against all templates with one float64 matmul over unpacked bits,
+  ``2·a·t − |a| − |t|`` = −hamming. Every partial sum is an integer of at
+  most 2^32 (u16 IMGX sides), below 2^53, so the scores are exact.
 
 All pure numpy, module-level state (font stack) built once per worker.
 """
@@ -92,7 +97,8 @@ def _gaussian_blur3(img: np.ndarray) -> np.ndarray:
 
 
 def _otsu_threshold(img: np.ndarray) -> float:
-    hist = np.bincount(np.clip(img, 0, 255).astype(np.uint8).ravel(), minlength=256).astype(np.float64)
+    """Otsu threshold of a uint8 image."""
+    hist = np.bincount(img.ravel(), minlength=256).astype(np.float64)
     total = hist.sum()
     if total == 0:
         return 127.0
@@ -108,35 +114,33 @@ def _otsu_threshold(img: np.ndarray) -> float:
 
 
 def _box_sum(img: np.ndarray, k: int) -> np.ndarray:
-    """k x k local SUM via int64 integral image, edge-replicated borders —
-    integer-exact (mean comparisons are done cross-multiplied by k*k)."""
+    """k x k local SUM of a uint8 image, edge-replicated borders, as two
+    separable int32 running sums (down the columns, then along the rows) —
+    integer-exact (mean comparisons are done cross-multiplied by k*k). The
+    largest running sum, (w + k) * k * 255, fits int32 for any u16 width."""
     pad = k // 2
     if pad == 0:  # k == 1 → the 1x1 box sum is the image itself
         return img.astype(np.int32)
     h0, w0 = img.shape
-    p = np.empty((h0 + 2 * pad, w0 + 2 * pad), dtype=np.int64)
+    p = np.empty((h0 + 2 * pad, w0 + 2 * pad), dtype=np.int32)
     p[pad:-pad, pad:-pad] = img
     p[:pad, pad:-pad] = img[0]
     p[-pad:, pad:-pad] = img[-1]
     p[:, :pad] = p[:, pad:pad + 1]
     p[:, -pad:] = p[:, -pad - 1:-pad]
-    ii = np.cumsum(np.cumsum(p, axis=0), axis=1)
-    ii = np.pad(ii, ((1, 0), (1, 0)))
-    h, w = img.shape
-    s = ii[k:k + h, k:k + w] - ii[:h, k:k + w] - ii[k:k + h, :w] + ii[:h, :w]
-    return s.astype(np.int32)  # k*k*255 fits comfortably
+    cols = np.zeros((h0 + 2 * pad + 1, w0 + 2 * pad), dtype=np.int32)
+    np.cumsum(p, axis=0, dtype=np.int32, out=cols[1:])
+    vert = cols[k:] - cols[:-k]                    # (h0, w0 + 2pad) k-row sums
+    rows = np.zeros((h0, w0 + 2 * pad + 1), dtype=np.int32)
+    np.cumsum(vert, axis=1, dtype=np.int32, out=rows[:, 1:])
+    return rows[:, k:] - rows[:, :-k]
 
 
-def binarize(img: np.ndarray, kind: str = "balanced",
-             blurred: np.ndarray | None = None) -> np.ndarray:
-    """Return boolean ink mask (True = text pixel). Kinds per app2.py:284-302.
-
-    ``blurred`` lets callers share the 3x3 Gaussian across kernels (the blur
-    is identical in balanced/quality/default — computed once per image)."""
+def binarize(img: np.ndarray, kind: str = "balanced") -> np.ndarray:
+    """Return boolean ink mask (True = text pixel). Kinds per app2.py:284-302."""
     if kind == "fast":
         return img < 128
-    if blurred is None:
-        blurred = _gaussian_blur3(img)
+    blurred = _gaussian_blur3(img)
     if kind in ("quality", "default"):
         # quality's morph-close with a (1,1) kernel is the identity
         t = _otsu_threshold(blurred)
@@ -234,6 +238,12 @@ def _bands(profile: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts, stops))
 
 
+# Template stacks are cached per cell shape only up to this size: the
+# largest corpus cell (56 rows high) needs ~94 KB, while one degenerate page
+# can ask for a stack of tens of MB that would otherwise stay in the worker
+# for good. Larger stacks are built per call.
+TEMPLATE_CACHE_MAX_BYTES = 1 << 20
+
 _TEMPLATE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -246,27 +256,9 @@ def _templates_for(ch: int, cw: int) -> np.ndarray:
         ys = (np.arange(ch) * GLYPH_H // ch).astype(np.int64)
         xs = (np.arange(cw) * GLYPH_W // cw).astype(np.int64)
         t = np.ascontiguousarray(FONT_STACK[:, ys][:, :, xs])  # (n_glyphs, ch, cw)
-        _TEMPLATE_CACHE[key] = t
+        if t.nbytes <= TEMPLATE_CACHE_MAX_BYTES:
+            _TEMPLATE_CACHE[key] = t
     return t
-
-
-_PACKED_CACHE: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-_POPCNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
-
-def _packed_templates_for(ch: int, cw: int) -> tuple[np.ndarray, int]:
-    """Bit-packed glyph template stack for a cell size: (g, ceil(ch*cw/8))
-    uint8 rows + the unpacked bit count. packbits pads the trailing byte
-    with zeros on BOTH sides of a comparison, so padding never contributes
-    to a hamming distance."""
-    key = (ch, cw)
-    hit = _PACKED_CACHE.get(key)
-    if hit is None:
-        t = _templates_for(ch, cw)
-        flat = t.reshape(t.shape[0], -1)
-        hit = (np.packbits(flat, axis=1), flat.shape[1])
-        _PACKED_CACHE[key] = hit
-    return hit
 
 
 LANG_TIEBREAK: dict[str, str] = {
@@ -300,35 +292,53 @@ def _lang_perm(lang: str | None) -> np.ndarray | None:
     return perm
 
 
+# Bits per matmul slice in _agreement: bounds the float64 copies of one
+# slice of cells and templates (~5.5 MB for the 42 templates) whatever the
+# cell size; every corpus cell fits in one slice.
+_MATMUL_BITS = 1 << 14
+
+
+def _agreement(cells: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    """(m, g) score ``2·a·t − |a| − |t|`` of 0/1 rows a (cells) and t
+    (templates): the number of equal bits minus the bit count, i.e. minus
+    the hamming distance. The dot products are float64 matmuls over
+    unpacked bits, accumulated slice by slice; every partial sum is an
+    integer of at most ch·cw <= 2^32 (IMGX sides are u16), far below 2^53,
+    so the result is integer-exact in any summation order."""
+    dot = np.zeros((len(cells), len(templates)))
+    for s in range(0, cells.shape[1], _MATMUL_BITS):
+        dot += (cells[:, s:s + _MATMUL_BITS].astype(np.float64)
+                @ templates[:, s:s + _MATMUL_BITS].T.astype(np.float64))
+    return (2.0 * dot - np.count_nonzero(cells, axis=1)[:, None]
+            - np.count_nonzero(templates, axis=1)[None, :])
+
+
 def _match_cells_batch(cells: np.ndarray, conf_cells: np.ndarray,
                        lang: str | None = None
                        ) -> tuple[list[str], list[float]]:
-    """Vectorized recognition of equal-size cells via bit-packed XOR +
-    popcount: hamming distance to every template in (m, g, bytes) uint8 ops
-    — ~8x less memory traffic than the boolean (m, g, ch*cw) equality
-    tensor. argmin(hamming) ≡ argmax(agreement) with a first-wins tie-break
-    in the LANGUAGE PACK's priority order (identity for 'eng'/default);
-    confidence = equal_bits/total_bits, bit-identical to the boolean mean.
+    """Vectorized recognition of equal-size cells: one exact matmul scores
+    every cell against every template (see _agreement). argmax(agreement)
+    with a first-wins tie-break in the LANGUAGE PACK's priority order
+    (identity for 'eng'/default); confidence = equal_bits/total_bits of the
+    conf cell against the chosen template.
     Returns (chars, per-glyph conf scores for non-space cells, in order)."""
     n, ch, cw = cells.shape
-    packed_t, nbits = _packed_templates_for(ch, cw)   # (g, W), bits
+    nbits = ch * cw
     nonempty = cells.reshape(n, -1).any(axis=1)
     chars = [" "] * n
     scores: list[float] = []
     if nonempty.any():
-        sub = cells[nonempty].reshape(-1, ch * cw)    # (m, bits)
-        sub_p = np.packbits(sub, axis=1)              # (m, W)
-        ham = _POPCNT[sub_p[:, None, :] ^ packed_t[None, :, :]].sum(
-            axis=2, dtype=np.int64)                   # (m, g)
+        t = _templates_for(ch, cw).reshape(-1, nbits)  # (g, bits)
+        agree = _agreement(cells[nonempty].reshape(-1, nbits), t)  # (m, g)
         perm = _lang_perm(lang)
         if perm is None:
-            best = np.argmin(ham, axis=1)
+            best = np.argmax(agree, axis=1)
         else:
-            # argmin over pack-ordered columns → first max-agreement template
+            # argmax over pack-ordered columns → first max-agreement template
             # in the language's priority order
-            best = perm[np.argmin(ham[:, perm], axis=1)]
-        csub_p = np.packbits(conf_cells[nonempty].reshape(-1, ch * cw), axis=1)
-        conf_ham = _POPCNT[csub_p ^ packed_t[best]].sum(axis=1, dtype=np.int64)
+            best = perm[np.argmax(agree[:, perm], axis=1)]
+        csub = conf_cells[nonempty].reshape(-1, nbits)
+        conf_ham = np.count_nonzero(csub != t[best], axis=1)
         conf = (nbits - conf_ham) / float(nbits)
         j = 0
         for i in range(n):
@@ -354,61 +364,80 @@ def recognize_lines(mask: np.ndarray, conf_img: np.ndarray | None = None,
     text rows, never the full page (margins/gaps are skipped; local-window
     statistics at band edges see the band only, a documented deviation worth
     ~2x less memory traffic). When conf_img is None the layout mask scores
-    itself. Returns (lines, glyph_scores); each line dict:
-    {text, x, y, width, height}.
+    itself.
+
+    Recognition is batched per PAGE: the character grid of every band is
+    laid out first, as arrays, then the page's cells are gathered into one
+    array per ``(ch, cw)`` shape and each shape is scored by a single
+    ``_match_cells_batch`` call (one exact float64 matmul, see
+    _agreement). The glyph scores keep the per-line order — width groups in
+    first-occurrence order, then char index — so their mean is
+    bit-identical to scoring band by band. Returns (lines, glyph_scores);
+    each line dict: {text, x, y, width, height}.
     """
-    h, w = mask.shape
+    w = mask.shape[1]
     mask = despeckle(mask)
-    row_profile = mask.sum(axis=1)
-    lines: list[dict] = []
-    scores: list[float] = []
-    for y0, y1 in _bands(row_profile):
-        if y1 - y0 < MIN_BAND_PX:
-            continue
-        band = mask[y0:y1]
-        if conf_img is not None and conf_kind is not None:
+    bands = [(y0, y1) for y0, y1 in _bands(mask.sum(axis=1))
+             if y1 - y0 >= MIN_BAND_PX]
+    if not bands:
+        return [], []
+    conf_mask = mask
+    if conf_img is not None and conf_kind is not None:
+        conf_mask = np.zeros_like(mask)
+    lefts, rights = [], []
+    for y0, y1 in bands:
+        cols = np.flatnonzero(mask[y0:y1].any(axis=0))  # a band row has ink
+        lefts.append(cols[0])
+        rights.append(cols[-1])
+        if conf_mask is not mask:
             conf_band = binarize(conf_img[y0:y1], conf_kind)
             if despeckle_conf:
                 # 'accurate' mode (app2.py:353 tessedit_do_invert=0 analog):
                 # clean the confidence evidence mask before scoring
                 conf_band = despeckle(conf_band)
-        else:
-            conf_band = band
-        col_profile = band.sum(axis=0)
-        cols = np.where(col_profile > 0)[0]
-        if len(cols) == 0:
-            continue
-        left, right = int(cols[0]), int(cols[-1])
-        line_h = y1 - y0
-        s_f = line_h / GLYPH_H          # recovered scale (float)
-        pitch = 6.0 * s_f               # char pitch: 5s glyph + 1s gap
-        span = right - left + 1
-        n_chars = max(1, int(round((span + s_f) / pitch)))
-        bounds = []
-        for i in range(n_chars):
-            x0 = left + int(round(i * pitch))
-            x1 = min(left + int(round(i * pitch + 5.0 * s_f)), w)
-            bounds.append((x0, x1))
-        # batch cells by width (rounding makes widths differ by ±1) and
-        # recognize each width-group in one vectorized template reduce
-        chars = [" "] * n_chars
-        by_width: dict[int, list[int]] = {}
-        for i, (x0, x1) in enumerate(bounds):
-            by_width.setdefault(x1 - x0, []).append(i)
-        line_scores: list[float] = []
-        for cw, idxs in by_width.items():
-            if cw <= 0:
-                continue
-            cells = np.stack([band[:, bounds[i][0]:bounds[i][1]] for i in idxs])
-            conf_cells = np.stack([conf_band[:, bounds[i][0]:bounds[i][1]] for i in idxs])
-            got, sc = _match_cells_batch(cells, conf_cells, lang)
-            for i, c in zip(idxs, got):
-                chars[i] = c
-            line_scores.extend(sc)
-        scores.extend(line_scores)
-        text = "".join(chars).rstrip()
-        lines.append({"text": text, "x": left, "y": int(y0),
-                      "width": span, "height": int(line_h)})
+            conf_mask[y0:y1] = conf_band
+    y0s, y1s = np.array(bands, dtype=np.int64).T
+    left, right = np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64)
+    line_h = y1s - y0s
+    s_f = line_h / GLYPH_H          # recovered scale (float)
+    pitch = 6.0 * s_f               # char pitch: 5s glyph + 1s gap
+    span = right - left + 1
+    n_chars = np.maximum(1, np.rint((span + s_f) / pitch).astype(np.int64))
+    # one entry per cell; np.rint rounds half to even, exactly like round()
+    line = np.repeat(np.arange(len(bands)), n_chars)
+    i = np.arange(len(line)) - np.repeat(np.cumsum(n_chars) - n_chars, n_chars)
+    x0 = left[line] + np.rint(i * pitch[line]).astype(np.int64)
+    x1 = np.minimum(left[line] + np.rint(i * pitch[line] + 5.0 * s_f[line]
+                                         ).astype(np.int64), w)
+    chars = np.full(len(line), " ", dtype="<U1")
+    glyph_scores = np.zeros(len(line))
+    cells = np.flatnonzero(x1 > x0)
+    cw, ch = x1[cells] - x0[cells], line_h[line[cells]]
+    _, groups = np.unique(ch * (w + 1) + cw, return_inverse=True)
+    for g in range(groups.max() + 1):
+        sel = np.flatnonzero(groups == g)
+        idx = cells[sel]
+        shape = (int(ch[sel[0]]), int(cw[sel[0]]))
+        at = (y0s[line[idx]], x0[idx])
+        got, sc = _match_cells_batch(
+            np.lib.stride_tricks.sliding_window_view(mask, shape)[at],
+            np.lib.stride_tricks.sliding_window_view(conf_mask, shape)[at], lang)
+        got = np.array(got, dtype="<U1")
+        chars[idx] = got
+        glyph_scores[idx[got != " "]] = sc  # a scored cell is never " "
+    # score order: a line's width groups in first-occurrence order, then
+    # char index — the first cell of each (line, width) pair ranks its group
+    _, first, pair = np.unique(line[cells] * (w + 1) + cw, return_index=True,
+                               return_inverse=True)
+    order = cells[np.argsort(first[pair], kind="stable")]
+    scores = glyph_scores[order[chars[order] != " "]].tolist()
+    chars = chars.tolist()
+    ends = np.cumsum(n_chars).tolist()
+    lines = [{"text": "".join(chars[e - n:e]).rstrip(), "x": x, "y": y,
+              "width": sp, "height": lh}
+             for e, n, x, y, sp, lh in zip(ends, n_chars.tolist(), left.tolist(),
+                                           y0s.tolist(), span.tolist(),
+                                           line_h.tolist())]
     return lines, scores
 
 
@@ -477,6 +506,10 @@ def extract_image(img: np.ndarray, preprocess_kind: str = "balanced",
     ``lang`` routes the recognizer's language pack (tie-break priority;
     'eng' default is the identity order — see LANG_TIEBREAK)."""
     img = optimize_image(img, max_dim)
+    if img.size == 0:
+        # a zero-area page holds no ink: an ok, empty page, like a blank one
+        return {"text": "", "confidence": 80.0, "paragraphs": [],
+                "width": int(img.shape[1]), "height": int(img.shape[0])}
     if ocr_mode == "fast":
         eff_deskew = False
     elif ocr_mode == "accurate":

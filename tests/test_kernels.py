@@ -151,13 +151,16 @@ class TestPayloads:
         assert glyphs.decode_pdfx(glyphs.encode_pdfx(pages)) == pages
 
 
-def _blank_page_pdf() -> tuple[bytes, str]:
+def _blank_page_pdf(blank_page: np.ndarray | None = None) -> tuple[bytes, str]:
     """PDFX [text, blank, text] and its expected text: the blank page adds
-    an empty page text to the reference's "\\n\\n" join (app.py:791)."""
+    an empty page text to the reference's "\\n\\n" join (app.py:791).
+    The blank page defaults to a white 200x300 raster."""
     rng = random.Random("blank:1")
     p1, g1, _, _ = corpus._make_image(rng, scale=3, n_paras=2)
     p2, g2, _, _ = corpus._make_image(rng, scale=3, n_paras=1)
-    blank = glyphs.encode_imgx(np.full((200, 300), 255, np.uint8))
+    if blank_page is None:
+        blank_page = np.full((200, 300), 255, np.uint8)
+    blank = glyphs.encode_imgx(blank_page)
     return glyphs.encode_pdfx([p1, blank, p2]), "\n\n".join([g1, "", g2])
 
 
@@ -245,6 +248,20 @@ class TestBlankPages:
         row = ExtractorActor().extract_row("u", payload, None, "eng")
         assert row["status"] == "ok", row["error"]
         assert row["extracted_text"] == ""
+
+    @pytest.mark.parametrize("shape", [(0, 40), (40, 0), (0, 0), (0, 5000)])
+    def test_zero_area_imgx_is_ok_and_empty(self, shape):
+        payload = glyphs.encode_imgx(np.zeros(shape, np.uint8))
+        row = ExtractorActor().extract_row("u", payload, None, "eng")
+        assert row["status"] == "ok", row["error"]
+        assert row["extracted_text"] == ""
+
+    def test_pdf_with_zero_area_page_keeps_text_pages(self):
+        payload, expected = _blank_page_pdf(np.zeros((0, 40), np.uint8))
+        row = ExtractorActor().extract_row("u", payload, None, "eng")
+        assert row["status"] == "ok", row["error"]
+        assert row["extracted_text"] == expected
+        assert row["total_pages"] == 3
 
     def test_pdf_with_blank_page(self):
         payload, expected = _blank_page_pdf()
@@ -570,3 +587,255 @@ class TestCrc32SharedHelper:
         out = str_coarse(pa.array([None, "", "k"], pa.string()), 7)
         assert out.dtype == np.int32
         assert out[0] == out[1] == 0
+
+
+# ---- reference recognizer: the per-band, popcount-matching implementation
+# that page-batched recognition replaced, kept verbatim (names prefixed
+# _ref_) as the oracle of TestPageBatchedRecognition. Its binarizer keeps
+# the int64 integral-image box sum and the clipping Otsu histogram.
+
+def _ref_otsu_threshold(img: np.ndarray) -> float:
+    hist = np.bincount(np.clip(img, 0, 255).astype(np.uint8).ravel(), minlength=256).astype(np.float64)
+    total = hist.sum()
+    if total == 0:
+        return 127.0
+    if np.count_nonzero(hist) == 1:
+        return 0.0  # one intensity: no split exists; OpenCV's THRESH_OTSU gives 0
+    omega = np.cumsum(hist) / total
+    mu = np.cumsum(hist * np.arange(256)) / total
+    mu_t = mu[-1]
+    denom = omega * (1.0 - omega)
+    denom[denom == 0] = np.nan
+    sigma_b = (mu_t * omega - mu) ** 2 / denom
+    return float(np.nanargmax(sigma_b))
+
+
+def _ref_box_sum(img: np.ndarray, k: int) -> np.ndarray:
+    """k x k local SUM via int64 integral image, edge-replicated borders —
+    integer-exact (mean comparisons are done cross-multiplied by k*k)."""
+    pad = k // 2
+    if pad == 0:  # k == 1 → the 1x1 box sum is the image itself
+        return img.astype(np.int32)
+    h0, w0 = img.shape
+    p = np.empty((h0 + 2 * pad, w0 + 2 * pad), dtype=np.int64)
+    p[pad:-pad, pad:-pad] = img
+    p[:pad, pad:-pad] = img[0]
+    p[-pad:, pad:-pad] = img[-1]
+    p[:, :pad] = p[:, pad:pad + 1]
+    p[:, -pad:] = p[:, -pad - 1:-pad]
+    ii = np.cumsum(np.cumsum(p, axis=0), axis=1)
+    ii = np.pad(ii, ((1, 0), (1, 0)))
+    h, w = img.shape
+    s = ii[k:k + h, k:k + w] - ii[:h, k:k + w] - ii[k:k + h, :w] + ii[:h, :w]
+    return s.astype(np.int32)  # k*k*255 fits comfortably
+
+
+def _ref_binarize(img: np.ndarray, kind: str = "balanced") -> np.ndarray:
+    if kind == "fast":
+        return img < 128
+    blurred = ie._gaussian_blur3(img)
+    if kind in ("quality", "default"):
+        # quality's morph-close with a (1,1) kernel is the identity
+        t = _ref_otsu_threshold(blurred)
+        return blurred <= t
+    # balanced: Gaussian blur + adaptive threshold(blockSize=11, C=2):
+    # ink iff blurred <= local_mean - 2, evaluated integer-exact as
+    # (blurred + 2) * k^2 <= local box SUM (no float pass)
+    local_sum = _ref_box_sum(blurred, 11)
+    return (blurred.astype(np.int32) + 2) * 121 <= local_sum
+
+
+_REF_PACKED_CACHE: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+_REF_POPCNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
+
+
+def _ref_packed_templates_for(ch: int, cw: int) -> tuple[np.ndarray, int]:
+    key = (ch, cw)
+    hit = _REF_PACKED_CACHE.get(key)
+    if hit is None:
+        t = ie._templates_for(ch, cw)
+        flat = t.reshape(t.shape[0], -1)
+        hit = (np.packbits(flat, axis=1), flat.shape[1])
+        _REF_PACKED_CACHE[key] = hit
+    return hit
+
+
+def _ref_match_cells_batch(cells: np.ndarray, conf_cells: np.ndarray,
+                           lang: str | None = None
+                           ) -> tuple[list[str], list[float]]:
+    n, ch, cw = cells.shape
+    packed_t, nbits = _ref_packed_templates_for(ch, cw)   # (g, W), bits
+    nonempty = cells.reshape(n, -1).any(axis=1)
+    chars = [" "] * n
+    scores: list[float] = []
+    if nonempty.any():
+        sub = cells[nonempty].reshape(-1, ch * cw)    # (m, bits)
+        sub_p = np.packbits(sub, axis=1)              # (m, W)
+        ham = _REF_POPCNT[sub_p[:, None, :] ^ packed_t[None, :, :]].sum(
+            axis=2, dtype=np.int64)                   # (m, g)
+        perm = ie._lang_perm(lang)
+        if perm is None:
+            best = np.argmin(ham, axis=1)
+        else:
+            # argmin over pack-ordered columns → first max-agreement template
+            # in the language's priority order
+            best = perm[np.argmin(ham[:, perm], axis=1)]
+        csub_p = np.packbits(conf_cells[nonempty].reshape(-1, ch * cw), axis=1)
+        conf_ham = _REF_POPCNT[csub_p ^ packed_t[best]].sum(axis=1, dtype=np.int64)
+        conf = (nbits - conf_ham) / float(nbits)
+        j = 0
+        for i in range(n):
+            if nonempty[i]:
+                chars[i] = glyphs.FONT_CHARS[int(best[j])]
+                scores.append(float(conf[j]))
+                j += 1
+    return chars, scores
+
+
+def _ref_recognize_lines(mask: np.ndarray, conf_img: np.ndarray | None = None,
+                         conf_kind: str | None = None,
+                         despeckle_conf: bool = False,
+                         lang: str | None = None) -> tuple[list[dict], list[float]]:
+    h, w = mask.shape
+    mask = ie.despeckle(mask)
+    row_profile = mask.sum(axis=1)
+    lines: list[dict] = []
+    scores: list[float] = []
+    for y0, y1 in ie._bands(row_profile):
+        if y1 - y0 < ie.MIN_BAND_PX:
+            continue
+        band = mask[y0:y1]
+        if conf_img is not None and conf_kind is not None:
+            conf_band = _ref_binarize(conf_img[y0:y1], conf_kind)
+            if despeckle_conf:
+                # 'accurate' mode (app2.py:353 tessedit_do_invert=0 analog):
+                # clean the confidence evidence mask before scoring
+                conf_band = ie.despeckle(conf_band)
+        else:
+            conf_band = band
+        col_profile = band.sum(axis=0)
+        cols = np.where(col_profile > 0)[0]
+        if len(cols) == 0:
+            continue
+        left, right = int(cols[0]), int(cols[-1])
+        line_h = y1 - y0
+        s_f = line_h / glyphs.GLYPH_H   # recovered scale (float)
+        pitch = 6.0 * s_f               # char pitch: 5s glyph + 1s gap
+        span = right - left + 1
+        n_chars = max(1, int(round((span + s_f) / pitch)))
+        bounds = []
+        for i in range(n_chars):
+            x0 = left + int(round(i * pitch))
+            x1 = min(left + int(round(i * pitch + 5.0 * s_f)), w)
+            bounds.append((x0, x1))
+        # batch cells by width (rounding makes widths differ by ±1) and
+        # recognize each width-group in one vectorized template reduce
+        chars = [" "] * n_chars
+        by_width: dict[int, list[int]] = {}
+        for i, (x0, x1) in enumerate(bounds):
+            by_width.setdefault(x1 - x0, []).append(i)
+        line_scores: list[float] = []
+        for cw, idxs in by_width.items():
+            if cw <= 0:
+                continue
+            cells = np.stack([band[:, bounds[i][0]:bounds[i][1]] for i in idxs])
+            conf_cells = np.stack([conf_band[:, bounds[i][0]:bounds[i][1]] for i in idxs])
+            got, sc = _ref_match_cells_batch(cells, conf_cells, lang)
+            for i, c in zip(idxs, got):
+                chars[i] = c
+            line_scores.extend(sc)
+        scores.extend(line_scores)
+        text = "".join(chars).rstrip()
+        lines.append({"text": text, "x": left, "y": int(y0),
+                      "width": span, "height": int(line_h)})
+    return lines, scores
+
+
+def _kernel_pages(corpus_dir: str) -> list[np.ndarray]:
+    """Every IMGX raster of a corpus: image rows and the pages of PDFX rows."""
+    pages = []
+    for payload in pq.read_table(os.path.join(corpus_dir, "pages.parquet"),
+                                 columns=["html"])["html"].to_pylist():
+        kind = sniff_kind(payload) if payload else None
+        if kind == "image":
+            pages.append(glyphs.decode_imgx(payload))
+        elif kind == "pdf":
+            pages.extend(glyphs.decode_imgx(p) for p in glyphs.decode_pdfx(payload))
+    return pages
+
+
+def _odd_pages() -> list[np.ndarray]:
+    """Blank, one-pixel-thin, noise, stripe and dot rasters."""
+    rng = np.random.default_rng(3)
+    stripes = np.full((120, 200), 255, np.uint8)
+    stripes[::4] = 0
+    columns = np.full((120, 200), 255, np.uint8)
+    columns[:, ::3] = 0
+    dots = np.full((120, 200), 255, np.uint8)
+    dots[::7, ::5] = 0
+    return [np.full((200, 300), 255, np.uint8), np.zeros((200, 300), np.uint8),
+            np.zeros((1, 60), np.uint8), np.zeros((60, 1), np.uint8),
+            rng.integers(0, 256, (240, 320)).astype(np.uint8),
+            stripes, columns, dots]
+
+
+class TestPageBatchedRecognition:
+    """recognize_lines scores a whole page per cell shape; its output must
+    equal the per-band recognizer's, float-exact, on every kernel config."""
+
+    def test_equals_per_band_reference(self, small_corpus, monkeypatch):
+        pages = _kernel_pages(small_corpus) + _odd_pages()
+        assert len(pages) > 30
+        n_text = 0
+        for i, img in enumerate(pages):
+            for kind in ("fast", "balanced", "quality", "default"):
+                # accurate mode deskews (13 rotations): a subsample suffices
+                modes = ("fast", "standard", "accurate") if i % 6 == 0 else ("fast", "standard")
+                for mode in modes:
+                    for lang in ("eng", "ind"):
+                        got = ie.extract_image(img, kind, 1200, False, mode, lang)
+                        with monkeypatch.context() as m:
+                            m.setattr(ie, "recognize_lines", _ref_recognize_lines)
+                            m.setattr(ie, "binarize", _ref_binarize)
+                            want = ie.extract_image(img, kind, 1200, False, mode, lang)
+                        assert got == want, (i, img.shape, kind, mode, lang)
+                        n_text += bool(got["text"])
+        assert n_text > 500
+
+    def test_one_match_call_per_cell_shape(self, small_corpus, monkeypatch):
+        calls: list[tuple[int, int]] = []
+        match = ie._match_cells_batch
+
+        def counted(cells, conf_cells, lang=None):
+            calls.append(cells.shape[1:])
+            return match(cells, conf_cells, lang)
+
+        monkeypatch.setattr(ie, "_match_cells_batch", counted)
+        n_lines = n_calls = 0
+        for img in _kernel_pages(small_corpus):
+            calls.clear()
+            lines, _ = ie.recognize_lines(ie.binarize(img, "default"), img,
+                                          "balanced", lang="eng")
+            assert len(calls) == len(set(calls)), calls
+            n_lines += len(lines)
+            n_calls += len(calls)
+        assert 0 < n_calls < n_lines
+
+    def test_template_cache_is_bounded(self, monkeypatch):
+        """A noise page asks for a (1200, 857) template stack, 43 MB; it is
+        built for the call and not kept."""
+        requested: list[int] = []
+        templates_for = ie._templates_for
+
+        def spy(ch, cw):
+            t = templates_for(ch, cw)
+            requested.append(t.nbytes)
+            return t
+
+        monkeypatch.setattr(ie, "_templates_for", spy)
+        noise = np.random.default_rng(1).integers(0, 256, (1200, 1200)).astype(np.uint8)
+        r = ie.extract_image(noise, "balanced", 1200, False, "standard", "eng")
+        assert r["width"] == 1200
+        assert max(requested) > ie.TEMPLATE_CACHE_MAX_BYTES
+        assert all(t.nbytes <= ie.TEMPLATE_CACHE_MAX_BYTES
+                   for t in ie._TEMPLATE_CACHE.values())
