@@ -189,18 +189,35 @@ SMALL_SHARD_BYTES = 32 << 20
 # unused by extraction (SURVEY.md §2.9), so it never leaves storage.
 PAGES_COLUMNS = ["url", "html", "text", "lang"]
 
+# Rows one extraction task aims at (≈0.6 s of kernel work).
+ROWS_PER_TASK = 300
+
+
+def task_count(rows: int, units: int) -> int:
+    """Tasks for ``rows`` input rows that split only between ``units``
+    (shards for ``read_pages``, checkpoint partitions for
+    ``state.manifest``): about ``ROWS_PER_TASK`` rows per task, floored at
+    2 tasks per CPU for pipelining and stragglers, capped at ``units``.
+    Tiny inputs merge units into fewer, larger tasks instead of paying
+    ~15 ms scheduling overhead per 78-row task (measured: 10k-row tier
+    1.96 s → 1.63 s), while the 80k+ tiers keep one task per unit."""
+    cpus = int(ray.cluster_resources().get("CPU", 32)) \
+        if ray.is_initialized() else 32
+    return min(units, max(2 * cpus, rows // ROWS_PER_TASK))
+
 
 def read_pages(path: str | list[str],
                columns: list[str] | None = None) -> "ray.data.Dataset":
     """Column-pruned read of a pages table (file, directory, or file list);
     the default projection is ``PAGES_COLUMNS``.
 
-    For many SMALL shards, the block count is pinned to the file count:
-    Ray's default block sizing otherwise appends a SplitBlocks stage that
-    copies every raw payload through the object store once more and worsens
-    stage overlap (measured: 8.6k → 12.9k docs/s on the flagship at 32
-    CPUs just from this). Big shards (≥32 MB avg) keep Ray's dynamic
-    splitting, which is what bounds block size at real corpus scale."""
+    For many SMALL shards, the block count is pinned to ``task_count`` over
+    the shards: Ray's default block sizing otherwise appends a SplitBlocks
+    stage that copies every raw payload through the object store once more
+    and worsens stage overlap (measured: 8.6k → 12.9k docs/s on the
+    flagship at 32 CPUs just from this). Big shards (≥32 MB avg) keep Ray's
+    dynamic splitting, which is what bounds block size at real corpus
+    scale."""
     import os
 
     num_blocks: int | None = None
@@ -213,17 +230,9 @@ def read_pages(path: str | list[str],
     if files:
         total = sum(os.path.getsize(f) for f in files)
         if total / len(files) < SMALL_SHARD_BYTES:
-            # block target ~300 rows/task (≈0.6 s of kernel work), floored
-            # at 2 tasks/CPU for pipelining/stragglers, capped at the
-            # shard count: tiny corpora merge shards into fewer, larger
-            # read tasks instead of paying ~15 ms scheduling overhead per
-            # 78-row task (measured: 10k-row tier 1.96 s → 1.63 s), while
-            # the 80k+ tiers keep one block per shard as before.
             import pyarrow.parquet as _pq
 
             rows = sum(_pq.read_metadata(f).num_rows for f in files)
-            cpus = int(ray.cluster_resources().get("CPU", 32)) \
-                if ray.is_initialized() else 32
-            num_blocks = min(len(files), max(2 * cpus, rows // 300))
+            num_blocks = task_count(rows, len(files))
     return ray.data.read_parquet(path, columns=columns or PAGES_COLUMNS,
                                  override_num_blocks=num_blocks)

@@ -18,9 +18,12 @@ A flagship checkpoint partition is a contiguous range of input rows: with
 the pages files taken in name order and N rows in all, partition i holds
 rows ``[i·N//n, (i+1)·N//n)``, its manifest's ``row_range``, and ``plan`` is
 ``{input_rows: N, n_partitions: n}``. The plan comes from the parquet footers
-alone, and each partition is one task that reads, extracts and commits its
-own range, so there is no exchange and a resumed run reproduces
-byte-identical partition contents. The exports shard by
+alone. Partitions set the resume granularity; the task count follows
+``pipelines.extract.task_count``, the rule ``read_pages`` uses for blocks,
+so each task takes a contiguous run of the partitions left to do. A task
+decodes every row group its run overlaps once, then extracts and commits
+each partition of the run in turn. There is no exchange, and a resumed
+run reproduces byte-identical partition contents. The exports shard by
 ``md5-hash32(key) % n_shards`` instead, because their input is any Dataset;
 their ``plan`` is ``{n_shards: n}`` and ``row_range`` the key range.
 """
@@ -149,8 +152,10 @@ def write_partition(table: pa.Table, out_dir: str, partition_id: int,
                     row_range: list | None = None,
                     plan: dict | None = None) -> dict:
     """Atomic parquet partition write + manifest through ``_commit``.
-    ``t_start`` is when this partition's task began, so wall_ms covers
-    that task only. ``key_col``/``text_col`` select the lineage-digest
+    ``t_start`` is when this partition's work began in its task: the end
+    of the task's previous commit, or the task start for its first
+    partition, so the wall_ms of a task's partitions sum to at most its
+    wall time. ``key_col``/``text_col`` select the lineage-digest
     columns (url/extracted_text for the flagship; doc_id/text for
     training-shard exports)."""
     return _commit(table, out_dir, partition_id,
@@ -158,14 +163,15 @@ def write_partition(table: pa.Table, out_dir: str, partition_id: int,
                    input_shard, t_start, key_col, text_col, row_range, plan)
 
 
-def _run_tasks(items: list[dict], task) -> None:
+def _run_tasks(items: list, task) -> list:
     """``task(item)`` once per item, one Ray task each and no exchange;
-    every task commits its own output. Plain tasks, not a Ray Data
-    ``map_batches`` over ``from_items``: with nothing to stream between
-    tasks, Ray Data only adds per-task overhead (64 no-op tasks on one
-    CPU: about 0.5 s through Ray Data, 0.06 s as plain tasks)."""
+    every task commits its own output; returns their results in item
+    order. Plain tasks, not a Ray Data ``map_batches`` over
+    ``from_items``: with nothing to stream between tasks, Ray Data only
+    adds per-task overhead (64 no-op tasks on one CPU: about 0.5 s through
+    Ray Data, 0.06 s as plain tasks)."""
     run = ray.remote(task)
-    ray.get([run.remote(item) for item in items])
+    return ray.get([run.remote(item) for item in items])
 
 
 def _row_groups(pages_path: str) -> list[tuple[str, int, int, int]]:
@@ -185,38 +191,79 @@ def _row_groups(pages_path: str) -> list[tuple[str, int, int, int]]:
 
 
 def _read_range(groups: list[tuple[str, int, int, int]], lo: int, hi: int,
-                columns: list[str]) -> pa.Table:
-    """Input rows ``[lo, hi)``, ``lo < hi``, reading only the row groups
-    that overlap them."""
-    parts = []
-    for f, g, first, rows in groups:
+                columns: list[str], held: dict) -> tuple[pa.Table, int]:
+    """Input rows ``[lo, hi)``, ``lo < hi``, from the row groups that
+    overlap them. ``held`` maps a group's index in ``groups`` to its
+    decoded table: a group found there is not decoded again, a newly
+    decoded one is added. Returns the rows and the payload rows decoded."""
+    parts, decoded = [], 0
+    for k, (f, g, first, rows) in enumerate(groups):
         if first < hi and lo < first + rows:
-            with pq.ParquetFile(f) as pf:
-                parts.append(pf.read_row_group(g, columns=columns)
-                             .slice(max(lo - first, 0), hi - max(lo, first)))
-    return pa.concat_tables(parts)
+            if k not in held:
+                with pq.ParquetFile(f) as pf:
+                    held[k] = pf.read_row_group(g, columns=columns)
+                decoded += rows
+            parts.append(held[k].slice(max(lo - first, 0), hi - max(lo, first)))
+    return pa.concat_tables(parts), decoded
+
+
+def _extract_run(run: list[dict], groups: list[tuple[str, int, int, int]],
+                 pages_path: str, out_dir: str, plan: dict,
+                 quality: str) -> int:
+    """One checkpoint task: extract and commit the partitions of ``run``
+    (``{partition_id, lo, hi}`` in input-row order) one after another.
+    Each overlapping row group is decoded once and held only until the
+    run has passed it. A partition already complete under ``plan`` is
+    skipped, so a retried task does not redo what it committed before it
+    died. Returns the payload rows decoded."""
+    from ..pipelines.extract import (EXTRACT_BATCH_SIZE, PAGES_COLUMNS,
+                                     extract_batch, summarize_batch)
+    from ..schema import EXTRACTED_SCHEMA
+
+    t_start, held, decoded = time.time(), {}, 0
+    for item in run:
+        pid, lo, hi = item["partition_id"], item["lo"], item["hi"]
+        held = {k: t for k, t in held.items() if groups[k][2] + groups[k][3] > lo}
+        m = _read_manifest(_manifest_path(out_dir, pid))
+        if m and m.get("plan") == plan:
+            continue
+        out = EXTRACTED_SCHEMA.empty_table()
+        if lo < hi:
+            pages, n = _read_range(groups, lo, hi, PAGES_COLUMNS, held)
+            decoded += n
+            out = pa.concat_tables(
+                [summarize_batch(extract_batch(pages.slice(s, EXTRACT_BATCH_SIZE),
+                                               quality))
+                 for s in range(0, pages.num_rows, EXTRACT_BATCH_SIZE)]).sort_by("url")
+        write_partition(out, out_dir, pid, pages_path, t_start,
+                        row_range=[lo, hi], plan=plan)
+        t_start = time.time()
+    return decoded
 
 
 def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 64,
                             quality: str = "medium",
                             max_partitions: int | None = None) -> dict:
     """Checkpointed flagship run: plan row-range partitions from the
-    parquet footers → skip completed ones → one task per remaining
-    partition reads only the row groups overlapping its range, extracts
-    and summarizes them in ``EXTRACT_BATCH_SIZE`` slices, sorts by url and
-    commits through ``write_partition``. An empty range commits an empty part, so
-    every partition completes. A resume with nothing left returns before
-    any task runs or any payload is read.
+    parquet footers → skip completed ones → split the rest into
+    ``task_count`` contiguous runs of near-equal length, one task each.
+    Partitions set the resume granularity; the shared rule sets the task
+    count, so a task still takes one partition when partitions hold
+    ``ROWS_PER_TASK`` rows or more, or when few are left. Each task (``_extract_run``) decodes
+    the row groups its run overlaps once, extracts and summarizes each
+    partition in ``EXTRACT_BATCH_SIZE`` slices, sorts it by url and commits
+    it through ``write_partition``. An empty range commits an empty part,
+    so every partition completes. A resume with nothing left returns
+    before any task runs or any payload is read.
 
     ``max_partitions`` processes only that many incomplete partitions (used
     by the kill/resume test to simulate preemption). Returns a summary
-    {completed_before, completed_now, out_dir, n_partitions}. Raises
-    ValueError if ``out_dir`` holds partitions of a different plan (input
-    row count or ``n_partitions``).
+    {completed_before, completed_now, out_dir, n_partitions, tasks,
+    rows_read}: ``tasks`` is the Ray tasks launched and ``rows_read`` the
+    payload rows they decoded. Raises ValueError if ``out_dir`` holds
+    partitions of a different plan (input row count or ``n_partitions``).
     """
-    from ..pipelines.extract import (EXTRACT_BATCH_SIZE, PAGES_COLUMNS,
-                                     extract_batch, summarize_batch)
-    from ..schema import EXTRACTED_SCHEMA
+    from ..pipelines.extract import task_count
 
     groups = _row_groups(pages_path)
     n_rows = sum(g[3] for g in groups)
@@ -226,24 +273,19 @@ def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 6
              "hi": (i + 1) * n_rows // n_partitions}
             for i in range(n_partitions) if i not in done][:max_partitions]
     summary = {"completed_before": len(done), "completed_now": len(todo),
-               "out_dir": out_dir, "n_partitions": n_partitions}
+               "out_dir": out_dir, "n_partitions": n_partitions,
+               "tasks": 0, "rows_read": 0}
     if not todo:
         return summary
 
-    def extract_range(item: dict) -> None:
-        t0 = time.time()
-        lo, hi = item["lo"], item["hi"]
-        out = EXTRACTED_SCHEMA.empty_table()
-        if lo < hi:
-            pages = _read_range(groups, lo, hi, PAGES_COLUMNS)
-            out = pa.concat_tables(
-                [summarize_batch(extract_batch(pages.slice(s, EXTRACT_BATCH_SIZE),
-                                               quality))
-                 for s in range(0, pages.num_rows, EXTRACT_BATCH_SIZE)]).sort_by("url")
-        write_partition(out, out_dir, item["partition_id"], pages_path, t0,
-                        row_range=[lo, hi], plan=plan)
+    n = task_count(sum(p["hi"] - p["lo"] for p in todo), len(todo))
+    runs = [todo[k * len(todo) // n:(k + 1) * len(todo) // n] for k in range(n)]
 
-    _run_tasks(todo, extract_range)
+    def extract_run(run: list[dict]) -> int:
+        return _extract_run(run, groups, pages_path, out_dir, plan, quality)
+
+    summary["tasks"] = n
+    summary["rows_read"] = sum(_run_tasks(runs, extract_run))
     return summary
 
 

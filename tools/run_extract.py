@@ -8,8 +8,9 @@ Submit with::
 On a live cluster ``ray job submit`` initializes Ray for the driver; run
 standalone the guarded init below starts a local session. Re-running with
 the same ``--out`` resumes: completed partitions are detected from their
-lineage manifests and skipped (state/manifest.py). Exit code 0 iff every
-partition completed.
+lineage manifests and skipped (state/manifest.py). The printed summary
+includes ``tasks`` (Ray tasks launched) and ``rows_read`` (payload rows
+decoded). Exit code 0 iff every partition completed.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ def main() -> int:
     ap.add_argument("--out", required=True, help="output + manifest dir")
     ap.add_argument("--partitions", type=int, default=64,
                     help="checkpoint partition count: contiguous input-row "
-                         "ranges, one task each (sets resume granularity "
-                         "and task parallelism)")
+                         "ranges that set resume granularity; the task "
+                         "count follows the rows-per-task rule of the read "
+                         "blocks")
     ap.add_argument("--quality", default="medium",
                     choices=["low", "medium", "high", "v1"])
     ap.add_argument("--max-partitions", type=int, default=None,
