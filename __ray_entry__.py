@@ -225,7 +225,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ann_ivf_topk": a.ann_ivf_topk,
         "ann_recall_eval": a.ann_recall_eval,
         "minhash_pairs_doubled": a.minhash_pairs_doubled,
-        "minhash_pairs_two_pass_doubled": a.minhash_pairs_two_pass_doubled,
         "minhash_pairs_md5_doubled": a.minhash_pairs_md5_doubled,
         "minhash_verified_pairs_doubled": a.minhash_verified_pairs_doubled,
         "edit_verified_pairs_doubled": a.edit_verified_pairs_doubled,

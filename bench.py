@@ -159,8 +159,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
           lambda: a.compressibility_docs(sf_dir).to_pandas())
     timed("exact_dedup", lambda: a.exact_dedup_docs(sf_dir).to_pandas())
     timed("minhash_pairs_doubled", lambda: a.minhash_pairs_doubled(sf_dir).to_pandas())
-    timed("minhash_pairs_two_pass_doubled",
-          lambda: a.minhash_pairs_two_pass_doubled(sf_dir).to_pandas())
     timed("minhash_verified_pairs_doubled",
           lambda: a.minhash_verified_pairs_doubled(sf_dir).to_pandas())
     timed("simhash_pairs_doubled", lambda: a.simhash_pairs_doubled(sf_dir).to_pandas())

@@ -32,13 +32,13 @@ from ray.data.aggregate import Count, Max, Mean, Sum
 from .. import corpus, str_hash
 from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
-from ..stages import crawl, dedup, similarity, text_analysis
+from ..stages import crawl, dedup, exchange, similarity, text_analysis
 from . import reads
 from .extract import extract_pipeline, extract_pipeline_dedup, read_pages
 
 from .analysis_common import (DOUBLE_OFFSET, _docs, _coarse_hint_for, _docs_coarse_hint, _doubled_docs, _WORD_TOKEN_RE, SPLIT_PCT, LINE_WIDTH, _chunked_text, _embeddings, _doubled_embeddings, _doubled_clone_pairs, _pages_dir_for, _corpus_rows, _hash_keep, _pages_coarse_hint)  # noqa: F401
 from .analysis_text import (token_counts_docs, quality_docs, gram_novelty_docs, langid_docs, fingerprint_docs, summarize_docs, _word_count_partial, word_freq_top, _bigram_count_partial, bigram_freq_top, CHUNK_WIDTH, CHUNK_STRIDE, chunk_docs, train_val_test_split, normalize_docs, nfc_docs, _nfc_kernel, MIX_TARGET_DEN, mixed_sample_docs, incremental_dedup_docs, near_dedup_incremental_docs, MG_CAPACITY, MG_CANDIDATES, heavy_hitter_words, UNIGRAM_VOCAB_K, NLP_SCALE, unigram_logprob_docs, BIGRAM_OOV, bigram_surprisal_docs, _bigram_fit, _bigram_doc_q, _bigram_surprisal, _int_quantile_disc, perplexity_buckets_docs, ML_TARGET_SOURCE, moore_lewis_docs, BM25_K1, BM25_B, BM25_K1P1, BM25_TOPK, BM25_QUERY_OFFSET, BM25_QUERY_TERMS, bm25_top_docs, source_overlap_matrix, tfidf_top_terms, SCRUB_PATTERN, SCRUB_TOKEN, scrub_docs, PII_EMAIL_RE, PII_IP_RE, PII_PHONE_RE, pii_scrub_docs, per_lang_topk_sample, exact_dedup_kept, quality_filtered, docs_with_embeddings)  # noqa: F401
-from .analysis_dedup import (exact_dedup_docs, exact_dedup_doubled, SKEW_HOT_TEXT, exact_dedup_skew, soft_dedup_weights_doubled, soft_dedup_sampled_docs, SOURCE_MIX_BUDGET, source_epoch_plan, SAMPLE_EXACT_K, sample_exact_k_docs, length_percentile_docs, lang_percentile_docs, cms_word_counts_docs, shuffle_order_docs, length_fit_docs, minhash_pairs_doubled, minhash_pairs_md5_doubled, minhash_pairs_two_pass_doubled, simhash_pairs_doubled, simhash_docs, ngram_jaccard_adjacent, minhash_verified_pairs_doubled, edit_verified_pairs_doubled, dup_clusters_doubled, fingerprint_pairs_doubled, line_dedup_docs, sentence_dedup_docs, exact_substr_dedup_docs, near_dedup_kept_doubled, DECON_BENCHMARK_DOCS, DECON_NGRAM, DECON_MIN_HITS, decontaminate_docs, BOILER_NUM, BOILER_DEN, BLOOM_M_BITS, BLOOM_K, _bloom_positions, bloom_decontaminate_docs, _word_doc_counts, _source_doc_counts, _boiler_counts, boilerplate_vocab, _boiler_key_set, _bench_gram_set, boilerplate_scrubbed_docs, _scrub_kernel, curated_docs, repetition_stats, packed_sequence_texts, gopher_quality_flags, PACK_BUDGET, _packing_plan, packed_sequences, quality_median_filtered, label_centroids, exact_dup_clusters_doubled, embedding_pairs_doubled)  # noqa: F401
+from .analysis_dedup import (exact_dedup_docs, exact_dedup_doubled, SKEW_HOT_TEXT, exact_dedup_skew, soft_dedup_weights_doubled, soft_dedup_sampled_docs, SOURCE_MIX_BUDGET, source_epoch_plan, SAMPLE_EXACT_K, sample_exact_k_docs, length_percentile_docs, lang_percentile_docs, cms_word_counts_docs, shuffle_order_docs, length_fit_docs, minhash_pairs_doubled, minhash_pairs_md5_doubled, simhash_pairs_doubled, simhash_docs, ngram_jaccard_adjacent, minhash_verified_pairs_doubled, edit_verified_pairs_doubled, dup_clusters_doubled, fingerprint_pairs_doubled, line_dedup_docs, sentence_dedup_docs, exact_substr_dedup_docs, near_dedup_kept_doubled, DECON_BENCHMARK_DOCS, DECON_NGRAM, DECON_MIN_HITS, decontaminate_docs, BOILER_NUM, BOILER_DEN, BLOOM_M_BITS, BLOOM_K, _bloom_positions, bloom_decontaminate_docs, _word_doc_counts, _source_doc_counts, _boiler_counts, boilerplate_vocab, _boiler_key_set, _bench_gram_set, boilerplate_scrubbed_docs, _scrub_kernel, curated_docs, repetition_stats, packed_sequence_texts, gopher_quality_flags, PACK_BUDGET, _packing_plan, packed_sequences, quality_median_filtered, label_centroids, exact_dup_clusters_doubled, embedding_pairs_doubled)  # noqa: F401
 from .analysis_graph import (ANN_K, ANN_N_QUERIES, _query_matrix, ann_brute_topk, hard_negatives, mmr_diverse_sample, knn_graph_topk, semdedup_kept_doubled, ann_lsh_topk, ann_recall_eval, embedding_quantized, ann_quantized_topk, ann_ivf_topk, extract_pages, extraction_rejection_report, extract_pages_dedup, pdf_page_rows, doc_structure_stats, image_meta, image_dhash_dups, frame_samples, audio_features, RECRAWL_SHIFT_US, latest_capture_per_url, domain_page_stats, extract_lang_stats, sample_docs, STRATA_PCT, STRATA_DEFAULT_PCT, stratified_sample_docs, dup_window_stats_docs, page_links, host_graph_edges, host_pagerank, host_pagerank_int, authority_filtered_pages, host_hits, host_hits_int, host_components, canonical_capture_dedup, kmeans_labels, _page_meta_kernel, page_metadata, html_markup_stats, host_boilerplate_pages, anchor_text_summary, MIX_TEMP_ALPHA, temperature_mixed_docs, crawl_diff, crawl_diff_status, corpus_datasheet, HOST_CAP_K, host_capped_pages, window_dedup_docs, url_features_pages, url_filtered_pages)  # noqa: F401
 
 
@@ -442,7 +442,7 @@ def kwic_snippets(sf_dir: str, term: str = KWIC_TERM, ctx: int = KWIC_CTX):
 
     out = _docs(sf_dir, ["doc_id", "text"]) \
         .map_batches(kernel, batch_format="pyarrow")
-    out = dedup.nonempty_or_typed_table(out, {
+    out = exchange.nonempty_or_typed_table(out, {
         "doc_id": pa.int64(), "pos": pa.int64(), "snippet": pa.string()})
     return out if isinstance(out, pa.Table) else out.sort("doc_id")
 
@@ -497,7 +497,7 @@ PAIR_BUCKET_ROWS = 2_000   # target rows per negative-sampling bucket
 def _pair_bucket_count(n_rows: int) -> int:
     """Negative-sampling bucket count for ``contrastive_pairs``: sized so
     each bucket's pandas group stays ~PAIR_BUCKET_ROWS rows REGARDLESS of
-    corpus size. Deliberately NOT capped at dedup.N_COARSE — these
+    corpus size. Deliberately NOT capped at exchange.N_COARSE — these
     buckets become whole in-memory map_groups frames, so a cap would make
     group size corpus/cap (the round-2 scale-killer: a fixed %64 put
     corpus/64 rows in one pandas frame)."""

@@ -25,7 +25,7 @@ from ray.data.aggregate import Count, Max, Mean, Sum
 from .. import corpus, str_hash
 from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
-from ..stages import crawl, dedup, similarity, text_analysis
+from ..stages import crawl, dedup, exchange, similarity, text_analysis
 from . import reads
 
 
@@ -39,14 +39,14 @@ def _docs(sf_dir: str, columns=None):
 
 def _coarse_hint_for(path: str, mult: int = 1) -> int:
     """Coarse shuffle-partition hint sized to a parquet table (~2k rows per
-    partition, capped at dedup.N_COARSE) — parquet METADATA row count, no
+    partition, capped at exchange.N_COARSE) — parquet METADATA row count, no
     scan. Tiny tiers then don't pay 256-way per-block fixed costs
     (~10 ms/partition/pass) while CPU-heavy group fns still parallelize
     (measured sweep at the 20k-row tier: 1 partition serializes the verify
     join at 7.4 s, 4-16 partitions hit 4.8 s); 100 TB corpora cap at 256
     and spread across the full cluster."""
     n = pq.ParquetFile(path).metadata.num_rows
-    return min(dedup.N_COARSE, (n * mult) // 2_000 + 1)
+    return min(exchange.N_COARSE, (n * mult) // 2_000 + 1)
 
 
 def _docs_coarse_hint(sf_dir: str, mult: int = 1) -> int:
@@ -165,4 +165,4 @@ def _pages_coarse_hint(sf_dir: str) -> int:
     shards = os.listdir(os.path.join(d, "pages.parquet"))
     n = pq.ParquetFile(os.path.join(d, "pages.parquet",
                                     sorted(shards)[0])).metadata.num_rows
-    return min(dedup.N_COARSE, (n * len(shards)) // 2_000 + 1)
+    return min(exchange.N_COARSE, (n * len(shards)) // 2_000 + 1)

@@ -25,7 +25,7 @@ from ray.data.aggregate import Count, Max, Mean, Sum
 from .. import corpus, str_hash
 from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
-from ..stages import crawl, dedup, similarity, text_analysis
+from ..stages import crawl, dedup, exchange, similarity, text_analysis
 from . import reads
 
 from .analysis_common import (DOUBLE_OFFSET, _docs, _coarse_hint_for, _docs_coarse_hint, _doubled_docs, _WORD_TOKEN_RE, SPLIT_PCT, LINE_WIDTH, _chunked_text, _embeddings, _doubled_embeddings, _doubled_clone_pairs, _pages_dir_for, _corpus_rows, _hash_keep, _pages_coarse_hint)  # noqa: F401
@@ -263,15 +263,6 @@ def minhash_pairs_md5_doubled(sf_dir: str):
     uint64-wrap arithmetic has no SQL form."""
     return dedup.minhash_pairs_md5(
         _doubled_docs(sf_dir),
-        n_coarse=_docs_coarse_hint(sf_dir, 2)).sort(["id_a", "id_b"])
-
-
-def minhash_pairs_two_pass_doubled(sf_dir: str):
-    """Two-pass MinHash LSH (bands shuffle without signatures; signatures
-    re-attached by partitioned joins) — the 100 TB shuffle-volume path;
-    output identical to minhash_pairs_doubled."""
-    return dedup.minhash_dedup_pairs(
-        _doubled_docs(sf_dir), threshold=0.7, two_pass=True,
         n_coarse=_docs_coarse_hint(sf_dir, 2)).sort(["id_a", "id_b"])
 
 
@@ -630,7 +621,7 @@ def boilerplate_vocab(sf_dir: str, num: int = BOILER_NUM,
     source's docs. The per-source doc counts are a tiny broadcast side;
     the (source, word) count table streams through the filter."""
     out = _boiler_counts(sf_dir, num, den).sort(["source", "word"])
-    return dedup.nonempty_or_typed_table(out, {
+    return exchange.nonempty_or_typed_table(out, {
         "source": pa.string(), "word": pa.string(),
         "n_docs_with": pa.int64(), "doc_frac": pa.float64()})
 
@@ -746,7 +737,7 @@ def curated_docs(sf_dir: str, min_score: float = 0.5, min_words: int = 20):
     kept = (_docs(sf_dir, ["doc_id", "text", "source"])
             .map_batches(curate, batch_format="pyarrow"))
     out = dedup.exact_dedup(kept, text_col="clean_text").sort("doc_id")
-    return dedup.nonempty_or_typed_table(out, {
+    return exchange.nonempty_or_typed_table(out, {
         "doc_id": pa.int64(), "clean_text": pa.string(),
         "n_words": pa.int64(), "quality_score": pa.float64()})
 
@@ -832,7 +823,7 @@ def packed_sequence_texts(sf_dir: str):
                "seq_text": pc.cast(b["seq_text"], pa.string())}),
                batch_format="pyarrow")
            .sort("seq_id"))
-    return dedup.nonempty_or_typed_table(out, cols)
+    return exchange.nonempty_or_typed_table(out, cols)
 
 
 def gopher_quality_flags(sf_dir: str):
@@ -922,7 +913,7 @@ def quality_median_filtered(sf_dir: str):
             pc.greater_equal(batch["quality_score"], thr))
 
     out = scored.map_batches(keep, batch_format="pyarrow").sort("doc_id")
-    return dedup.nonempty_or_typed_table(out, {
+    return exchange.nonempty_or_typed_table(out, {
         "doc_id": pa.int64(), "lang": pa.string(),
         "quality_score": pa.float64()})
 

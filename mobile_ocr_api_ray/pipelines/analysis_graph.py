@@ -25,7 +25,7 @@ from ray.data.aggregate import Count, Max, Mean, Sum
 from .. import corpus, str_hash
 from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
-from ..stages import crawl, dedup, similarity, text_analysis
+from ..stages import crawl, dedup, exchange, similarity, text_analysis
 from . import reads
 from .extract import extract_pipeline, extract_pipeline_dedup, read_pages
 
@@ -405,7 +405,7 @@ def image_dhash_dups(sf_dir: str):
 
     out = (hashed.map_batches(add_coarse, batch_format="pyarrow")
            .groupby("coarse").map_groups(owners, batch_format="pandas"))
-    out = dedup.nonempty_or_typed_table(out, {
+    out = exchange.nonempty_or_typed_table(out, {
         "url": pa.string(), "dhash": pa.string(), "width": pa.int64(),
         "height": pa.int64(), "owner_url": pa.string(),
         "is_dup": pa.bool_()})
@@ -734,7 +734,7 @@ def authority_filtered_pages(sf_dir: str, k: int = 16):
             [rank[h] for h in t["host"].to_pylist()], pa.int64()))
 
     out = urls.map_batches(keep, batch_format="pyarrow")
-    from ..stages.dedup import nonempty_or_typed_table
+    from ..stages.exchange import nonempty_or_typed_table
     out = nonempty_or_typed_table(out, {"url": pa.string(),
                                         "host": pa.string(),
                                         "pr_int": pa.int64()})
@@ -1124,7 +1124,7 @@ def host_capped_pages(sf_dir: str, k: int = HOST_CAP_K):
             "h": [_hash32(u) for u in urls]})
         d = df.sort_values(["host", "h", "url"], kind="mergesort")
         d = d[d.groupby("host").cumcount() < k]
-        coarse = str_hash.str_coarse(d["host"], dedup.N_COARSE)
+        coarse = str_hash.str_coarse(d["host"], exchange.N_COARSE)
         t = pa.Table.from_pandas(d, preserve_index=False)
         return t.append_column("coarse", pa.array(coarse))
 
@@ -1140,7 +1140,7 @@ def host_capped_pages(sf_dir: str, k: int = HOST_CAP_K):
     pages = read_pages(os.path.join(d, "pages.parquet"), columns=["url"])
     out = (pages.map_batches(partial, batch_format="pyarrow")
            .groupby("coarse").map_groups(resolve, batch_format="pandas"))
-    out = dedup.nonempty_or_typed_table(out, {
+    out = exchange.nonempty_or_typed_table(out, {
         "host": pa.string(), "rank": pa.int64(), "url": pa.string()})
     return out if isinstance(out, pa.Table) else out.sort(["host", "rank"])
 

@@ -25,7 +25,7 @@ from ray.data.aggregate import Count, Max, Mean, Sum
 from .. import corpus, str_hash
 from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
-from ..stages import crawl, dedup, similarity, text_analysis
+from ..stages import crawl, dedup, exchange, similarity, text_analysis
 from . import reads
 
 from .analysis_common import (DOUBLE_OFFSET, _docs, _coarse_hint_for, _docs_coarse_hint, _doubled_docs, _WORD_TOKEN_RE, SPLIT_PCT, LINE_WIDTH, _chunked_text, _embeddings, _doubled_embeddings, _doubled_clone_pairs, _pages_dir_for, _corpus_rows, _hash_keep, _pages_coarse_hint)  # noqa: F401
@@ -347,7 +347,7 @@ def incremental_dedup_docs(sf_dir: str):
            .map_batches(project, batch_format="pyarrow")
            .groupby("coarse").map_groups(resolve, batch_format="pandas")
            .sort("doc_id"))
-    return dedup.nonempty_or_typed_table(out, {
+    return exchange.nonempty_or_typed_table(out, {
         "doc_id": pa.int64(), "digest": pa.string()})
 
 

@@ -36,7 +36,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-from ..stages.dedup import nonempty_or_typed_table as _nonempty_or_typed_table
+from ..stages.exchange import nonempty_or_typed_table
 from .relational import _cents as _cents_arr
 from .relational import _pq, _rev_cents
 
@@ -316,7 +316,6 @@ def purchases_after_click(sf_dir: str):
            .map_batches(keep, batch_format="pyarrow")
            .groupby("coarse").map_groups(match, batch_format="pandas")
            .sort(["user_id", "click_event_id", "purchase_event_id"]))
-    from ..stages.dedup import nonempty_or_typed_table
     return nonempty_or_typed_table(out, {
         "user_id": pa.int64(), "click_event_id": pa.int64(),
         "purchase_event_id": pa.int64(), "gap_us": pa.int64()})
@@ -998,13 +997,13 @@ def users_click_and_purchase(sf_dir: str):
         return batch.filter(m).select(["user_id"])
 
     out = flags.map_batches(keep, batch_format="pyarrow").sort("user_id")
-    return _nonempty_or_typed_table(out, {"user_id": pa.int64()})
+    return nonempty_or_typed_table(out, {"user_id": pa.int64()})
 
 
 def viewers_never_purchased(sf_dir: str):
     """EXCEPT shape: the view key set minus the purchase key set. On dense
     synthetic tiers every viewer also purchases, so the result is often
-    EMPTY — see _nonempty_or_typed_table for why that needs a guard."""
+    EMPTY — see nonempty_or_typed_table for why that needs a guard."""
     flags = _users_by_type_flags(sf_dir, ("view", "purchase"))
 
     def keep(batch: pa.Table) -> pa.Table:
@@ -1013,7 +1012,7 @@ def viewers_never_purchased(sf_dir: str):
         return batch.filter(m).select(["user_id"])
 
     out = flags.map_batches(keep, batch_format="pyarrow").sort("user_id")
-    return _nonempty_or_typed_table(out, {"user_id": pa.int64()})
+    return nonempty_or_typed_table(out, {"user_id": pa.int64()})
 
 
 def latest_event_per_user(sf_dir: str):
@@ -1392,7 +1391,7 @@ def quiet_customers(sf_dir: str, threshold: float = QUIET_THRESHOLD,
             .select(["c_custkey", "c_name", "c_acctbal"]),
             batch_format="pyarrow")
 
-    from ..stages.dedup import _typed_empty_union
+    from ..stages.exchange import _typed_empty_union
 
     filtered = filtered.sort("c_custkey")
     # typed-empty union AFTER the sort: sort() on an all-empty dataset

@@ -214,7 +214,7 @@ def diff_by_key(old_ds, new_ds, key: str = "url", value_col: str = "html",
     """
     import hashlib
 
-    from .dedup import N_COARSE, nonempty_or_typed_table
+    from .exchange import N_COARSE, nonempty_or_typed_table
 
     nc = n_coarse or N_COARSE
 
@@ -382,7 +382,7 @@ def host_line_boilerplate(pages_ds, min_pages: int = BOILER_LINE_MIN_PAGES,
     exchange 1, bounded by that host's page count (not corpus size) —
     the same exposure line_dedup documents for ubiquitous lines.
     """
-    from .dedup import N_COARSE, nonempty_or_typed_table
+    from .exchange import N_COARSE, nonempty_or_typed_table
 
     nc = n_coarse or N_COARSE
     ncd = n_coarse_docs or nc
@@ -557,7 +557,7 @@ def resolve_pointer_chains(ptr_ds, n_coarse: "int | None" = None,
         # 5k-row tier, per-block fixed costs turning ~1 s rounds into 55 s
         # — measured), so each round coalesces back to the shuffle's own
         # partition count before materializing.
-        from .dedup import N_COARSE
+        from .exchange import N_COARSE
         nxt = (joined.map_batches(jump, batch_format="pyarrow")
                .repartition(n_coarse or N_COARSE).materialize())
         if nxt.count() != n_rows:

@@ -9,18 +9,19 @@ as Dataset transforms:
 - exact:    content digest (md5, matching DuckDB's ``md5()`` for the SQL
             oracle) → groupby(digest) → representative per group.
 - MinHash:  word-shingle → 64-perm minhash → 16 bands × 4 rows → explode to
-            (band_id, band_hash) rows → groupby band → candidate pairs with
-            signature-estimated Jaccard → global pair dedup. One-pass default
-            rides signatures inside band rows (16× duplication ≈ 8 KB/doc,
-            no second join); two_pass=True shuffles lean band rows (~24 B)
-            and re-attaches signatures via partitioned joins — identical
-            output, the 100 TB shuffle-volume path.
+            (band_id, band_hash, signature) rows → group by band → candidate
+            pairs with signature-estimated Jaccard → global pair dedup.
 - SimHash:  64-bit token-frequency simhash; near-dups via 4×16-bit band
             blocking + Hamming distance ≤ 3.
 - n-gram Jaccard: exact verification kernel (used standalone on candidate
             pairs or in tests against MinHash estimates).
 - embedding: sign-LSH bucket groupby → within-bucket pairwise cosine ≥ t
             (scale path); brute-force pairwise for oracle-sized inputs.
+
+Every grouped exchange here is one ``exchange.keyed_exchange`` call: an
+operator names the key columns it groups on and an Arrow/numpy function
+of one coarse group; routing, the group call and the typed empty result
+live in stages/exchange.py.
 
 All hashes are crc32/blake2-based — stable across processes (PYTHONHASHSEED-
 independent); permutation constants derive from numpy RandomState(42).
@@ -36,7 +37,67 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .. import str_hash
+from .exchange import (N_COARSE, keyed_exchange, keyed_stage,
+                       nonempty_or_typed_table)
+
+_PAIR_IDS = {"id_a": pa.int64(), "id_b": pa.int64()}
+
+
+def _np(col) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _np64(col) -> np.ndarray:
+    return _np(col).astype(np.int64)
+
+
+def _cat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.array([], dtype)
+
+
+def _runs(t: pa.Table, by: "list[str]", group: "list[str]"):
+    """``t`` stably sorted on ``by``, plus the start row and size of each
+    run of rows equal on ``group`` (a prefix of ``by``)."""
+    t = t.sort_by([(c, "ascending") for c in by])
+    n = t.num_rows
+    new = np.zeros(n, bool)
+    if n:
+        new[0] = True
+        for c in group:
+            v = _np(t[c])
+            new[1:] |= v[1:] != v[:-1]
+    starts = np.flatnonzero(new)
+    return t, starts, np.diff(np.append(starts, n))
+
+
+def _reduce_by(keys: "list[np.ndarray]", vals: "list[np.ndarray]",
+               op=np.add):
+    """Distinct rows of the key arrays ``keys`` (ascending) and ``op``
+    reduced over each array of ``vals`` per distinct key."""
+    order = np.lexsort(keys[::-1])
+    ks = [k[order] for k in keys]
+    n = len(order)
+    new = np.zeros(n, bool)
+    if n:
+        new[0] = True
+        for k in ks:
+            new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    return ([k[starts] for k in ks],
+            [op.reduceat(v[order], starts) if n else v[:0] for v in vals])
+
+
+def _first_index(keys: np.ndarray, probe: np.ndarray):
+    """Row of the first occurrence in ``keys`` of each ``probe`` value, and
+    a mask of the probes found at all."""
+    if len(keys) == 0:
+        return (np.zeros(len(probe), np.int64),
+                np.zeros(len(probe), bool))
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    pos = np.minimum(np.searchsorted(k, probe), len(k) - 1)
+    return order[pos], k[pos] == probe
+
 
 # ------------------------------------------------------------- exact dedup
 
@@ -60,22 +121,25 @@ def exact_dedup_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
 
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Keep one representative row (min id) per distinct content —
-    hash-partition + per-group first (SURVEY.md §2.7 D1). Shuffles on a
-    coarse prefix of the digest; representatives resolved vectorized inside
+    hash-partition + per-group first (SURVEY.md §2.7 D1). One keyed
+    exchange on the digest; representatives resolve vectorized inside
     each coarse group (one Ray group per partition, not per digest)."""
-    def add_keys(batch: pa.Table) -> pa.Table:
-        t = add_md5_digest(batch, text_col)
-        coarse = str_hash.crc32_of_strings(t["digest"]) % N_COARSE
-        return t.append_column(
-            "coarse", pa.array(coarse.astype(np.int32), pa.int32()))
+    def first_per_digest(t: pa.Table) -> pa.Table:
+        t, starts, _ = _runs(t, ["digest", id_col], ["digest"])
+        return t.take(starts)
 
-    def first_per_digest(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values([id_col]).drop_duplicates("digest", keep="first")
-                .drop(columns=["digest", "coarse"]))
+    schema = ds.schema()
+    return keyed_exchange(
+        ds.map_batches(lambda b: add_md5_digest(b, text_col),
+                       batch_format="pyarrow"),
+        ["digest"], first_per_digest,
+        pa.schema(list(zip(schema.names, schema.types))))
 
-    with_keys = ds.map_batches(add_keys, batch_format="pyarrow")
-    return with_keys.groupby("coarse").map_groups(
-        first_per_digest, batch_format="pandas")
+
+def _digest_rows(ds, id_col: str, text_col: str):
+    return ds.map_batches(
+        lambda b: add_md5_digest(b, text_col).select([id_col, "digest"]),
+        batch_format="pyarrow")
 
 
 def exact_dup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -83,37 +147,21 @@ def exact_dup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     """Star-shaped duplicate-pair edges from EXACT content equality:
     (id_a = min id of the digest group, id_b = each other member).
 
-    Same coarse digest-prefix shuffle as exact_dedup; inside each partition
-    the per-digest rep and members resolve vectorized (sort by digest+id,
-    group boundaries from digest change, rep broadcast via np.repeat — no
+    Same digest exchange as exact_dedup; inside each group the per-digest
+    rep and members resolve vectorized (sort by digest+id, group
+    boundaries from digest change, rep broadcast via np.repeat — no
     per-digest dispatch). Feeding these pairs to dup_clusters gives a
     connected-components run whose ground truth is SQL-expressible
     (min(doc_id) per text group), unlike the MinHash pair graph."""
-    nc = n_coarse or N_COARSE
-
-    def add_keys(batch: pa.Table) -> pa.Table:
-        t = add_md5_digest(batch, text_col).select([id_col, "digest"])
-        coarse = str_hash.crc32_of_strings(t["digest"]) % nc
-        return t.append_column(
-            "coarse", pa.array(coarse.astype(np.int32), pa.int32()))
-
-    def star_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values(["digest", id_col]).reset_index(drop=True)
-        dig = d["digest"].to_numpy()
-        ids = d[id_col].to_numpy()
-        new = np.ones(len(d), dtype=bool)
-        if len(d) > 1:
-            new[1:] = dig[1:] != dig[:-1]
-        starts = np.nonzero(new)[0]
-        sizes = np.diff(np.append(starts, len(d)))
+    def star_pairs(t: pa.Table) -> pa.Table:
+        t, starts, sizes = _runs(t, ["digest", id_col], ["digest"])
+        ids = _np64(t[id_col])
         reps = np.repeat(ids[starts], sizes)
         keep = reps != ids  # drop the self row → (rep, member) per dup
-        return pd.DataFrame({"id_a": pd.array(reps[keep], "int64"),
-                             "id_b": pd.array(ids[keep], "int64")})
+        return pa.table({"id_a": reps[keep], "id_b": ids[keep]})
 
-    pairs = (ds.map_batches(add_keys, batch_format="pyarrow")
-             .groupby("coarse").map_groups(star_pairs, batch_format="pandas"))
-    return _typed_empty_union(pairs, {"id_a": pa.int64(), "id_b": pa.int64()})
+    return keyed_exchange(_digest_rows(ds, id_col, text_col), ["digest"],
+                          star_pairs, _PAIR_IDS, n_coarse)
 
 
 def soft_dedup_weights(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -129,40 +177,22 @@ def soft_dedup_weights(ds, id_col: str = "doc_id", text_col: str = "text",
     digest-dedup policy (app2.py result cache, SURVEY §2.7 D1) from
     drop-duplicates to weight-duplicates.
 
-    Same coarse digest-prefix exchange as exact_dedup — the shuffled rows
-    are (id, 32-char digest) only, text never moves — and cluster sizes
-    resolve vectorized per coarse partition (sort by digest, group sizes
-    from boundary diff, np.repeat broadcast; no per-digest dispatch).
+    Same digest exchange as exact_dedup — the shuffled rows are (id,
+    32-char digest) only, text never moves — and cluster sizes resolve
+    vectorized per coarse group (sort by digest, group sizes from boundary
+    diff, np.repeat broadcast; no per-digest dispatch).
     Value-exact in SQL: count(*) over md5(text) groups + the same integer
     division. → (id, digest, cluster_size, weight_micro) per input row."""
-    nc = n_coarse or N_COARSE
-
-    def add_keys(batch: pa.Table) -> pa.Table:
-        t = add_md5_digest(batch, text_col).select([id_col, "digest"])
-        coarse = str_hash.crc32_of_strings(t["digest"]) % nc
-        return t.append_column(
-            "coarse", pa.array(coarse.astype(np.int32), pa.int32()))
-
-    def weigh(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values(["digest", id_col]).reset_index(drop=True)
-        dig = d["digest"].to_numpy()
-        new = np.ones(len(d), dtype=bool)
-        if len(d) > 1:
-            new[1:] = dig[1:] != dig[:-1]
-        starts = np.nonzero(new)[0]
-        sizes = np.diff(np.append(starts, len(d)))
+    def weigh(t: pa.Table) -> pa.Table:
+        t, _, sizes = _runs(t, ["digest", id_col], ["digest"])
         per_row = np.repeat(sizes.astype(np.int64), sizes)
-        return pd.DataFrame({
-            id_col: pd.array(d[id_col].to_numpy(), "int64"),
-            "digest": d["digest"],
-            "cluster_size": pd.array(per_row, "int64"),
-            "weight_micro": pd.array(1_000_000 // per_row, "int64")})
+        return t.append_column("cluster_size", pa.array(per_row)) \
+            .append_column("weight_micro", pa.array(1_000_000 // per_row))
 
-    out = (ds.map_batches(add_keys, batch_format="pyarrow")
-           .groupby("coarse").map_groups(weigh, batch_format="pandas"))
-    return _typed_empty_union(out, {
-        id_col: pa.int64(), "digest": pa.string(),
-        "cluster_size": pa.int64(), "weight_micro": pa.int64()})
+    return keyed_exchange(
+        _digest_rows(ds, id_col, text_col), ["digest"], weigh,
+        {id_col: pa.int64(), "digest": pa.string(),
+         "cluster_size": pa.int64(), "weight_micro": pa.int64()}, n_coarse)
 
 
 def canonical_quality_keep(ds, id_col: str = "doc_id",
@@ -254,17 +284,11 @@ def minhash_batch(batch: pa.Table, id_col: str = "doc_id",
     })
 
 
-def lsh_band_rows(batch: pa.Table, id_col: str = "doc_id",
-                  include_signature: bool = True) -> pa.Table:
-    """Explode signatures to (id, band_id, band_hash[, signature]) rows.
-
-    ``include_signature=False`` is the lean two-pass form: band rows carry
-    only ~24 B each instead of duplicating the full 64×int64 signature 16×
-    (~8 KB/doc shuffle amplification); the signature is re-attached later
-    by a partitioned join."""
+def lsh_band_rows(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
+    """Explode signatures to (id, band_id, band_hash, signature) rows."""
     ids = batch[id_col].to_pylist()
     sigs = batch["signature"].to_pylist()
-    out_id, out_band, out_hash, out_sig = [], [], [], []
+    out_id, out_band, out_hash = [], [], []
     for i, sig in zip(ids, sigs):
         for b in range(BANDS):
             chunk = sig[b * ROWS_PER_BAND:(b + 1) * ROWS_PER_BAND]
@@ -274,16 +298,13 @@ def lsh_band_rows(batch: pa.Table, id_col: str = "doc_id",
             out_id.append(i)
             out_band.append(b)
             out_hash.append(h)
-            if include_signature:
-                out_sig.append(sig)
-    cols = {
+    return pa.table({
         id_col: pa.array(out_id),
         "band_id": pa.array(out_band, pa.int32()),
         "band_hash": pa.array(out_hash, pa.string()),
-    }
-    if include_signature:
-        cols["signature"] = pa.array(out_sig, pa.list_(pa.int64()))
-    return pa.table(cols)
+        "signature": batch["signature"].take(
+            np.repeat(np.arange(batch.num_rows), BANDS)),
+    })
 
 
 def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
@@ -293,31 +314,19 @@ def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
 MAX_BUCKET = 64  # salt guard: skip degenerate buckets larger than this
 
 
-N_COARSE = 256  # coarse shuffle partitions for tiny-group workloads
+def _sig_matrix(col, width: int) -> np.ndarray:
+    """(rows, width) int64 matrix of a list<int64> column of fixed-length
+    signatures."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return col.flatten().to_numpy(zero_copy_only=False) \
+        .astype(np.int64).reshape(-1, width)
 
 
-
-def nonempty_or_typed_table(ds, cols: "dict[str, pa.DataType]"):
-    """Ray 2.49 drops all-empty blocks, so a Dataset whose every block is
-    empty cannot carry a schema through ``to_pandas()`` no matter what typed
-    unions sit upstream.  Materialize once; if the result has rows keep the
-    Dataset (blocks stay in the object store), else hand back a typed empty
-    ``pa.Table`` so consumers still see the documented columns."""
-    m = ds.materialize()
-    if m.count() == 0:
-        return pa.table({n: pa.array([], t) for n, t in cols.items()})
-    return m
-
-
-def _typed_empty_union(ds, cols: "dict[str, pa.DataType]"):
-    """Union a typed empty table into ``ds`` so an all-empty result keeps
-    its documented schema (groupby().map_groups over zero rows otherwise
-    returns a schema-less dataset that breaks downstream sorts)."""
-    import ray.data
-
-    empty = ray.data.from_arrow(pa.table(
-        {name: pa.array([], ty) for name, ty in cols.items()}))
-    return empty.union(ds)
+def _bucket_codes(t: pa.Table, keys: "list[str]"):
+    """``t`` sorted on ``keys`` and a dense int bucket code per row."""
+    t, starts, sizes = _runs(t, keys, keys)
+    return t, np.repeat(np.arange(len(starts)), sizes)
 
 
 def _triu_chunks(m: int, pair_chunk: int):
@@ -336,12 +345,15 @@ def _triu_chunks(m: int, pair_chunk: int):
         i += take
 
 
-def _bucket_pairs(df: pd.DataFrame, key_cols: list[str], id_col: str,
-                  pair_fn, pair_fn_vec,
-                  max_bucket: "int | None" = MAX_BUCKET,
-                  clique_band_col: "str | None" = None,
-                  pair_chunk: int = 1 << 22) -> tuple[list, list, list]:
+def _bucket_pairs(code: np.ndarray, ids: np.ndarray, payload: np.ndarray,
+                  pair_fn_vec, max_bucket: "int | None" = MAX_BUCKET,
+                  band: "np.ndarray | None" = None,
+                  pair_chunk: int = 1 << 22):
     """Shared bucket-walk for banded LSH pair generation, vectorized.
+
+    ``code`` is an int bucket code per row, ``ids`` the row ids and
+    ``payload`` the per-row values ``pair_fn_vec(pa, pb) -> (ok, value)``
+    scores (any array indexed on its first axis).
 
     Sorts rows by bucket, handles the dominant size-2 buckets in one numpy
     pass and larger buckets with a CHUNKED triu pair sweep per bucket
@@ -355,28 +367,23 @@ def _bucket_pairs(df: pd.DataFrame, key_cols: list[str], id_col: str,
     under-emit on any corpus with a >max_bucket near-dup family; the
     quadratic pair COUNT is that operator's honest output size).
 
-    ``clique_band_col``: opt-in for banded generators whose payload is a
-    hashable SCALAR fingerprint (simhash). Rows with IDENTICAL payloads
-    share every band value, so (a) their intra-clique pairs are emitted
-    only in band 0 — once per corpus instead of once per band — with ONE
-    pair_fn evaluation broadcast across the clique, and (b) the bucket
-    sweep enumerates DISTINCT payloads instead of rows, so an
+    ``band``: opt-in band id per row for banded generators whose payload
+    is a hashable SCALAR fingerprint (simhash). Rows with IDENTICAL
+    payloads share every band value, so (a) their intra-clique pairs are
+    emitted only in band 0 — once per corpus instead of once per band —
+    with ONE pair_fn evaluation broadcast across the clique, and (b) the
+    bucket sweep enumerates DISTINCT payloads instead of rows, so an
     identical-fingerprint family costs O(pairs emitted), not
     O(m² pair_fn evals) × bands. Output pair set and values are identical
     (pinned by tests/test_operators.py::TestBigBucketPairs).
 
-    ``pair_fn`` is the scalar fallback, kept for API/debug parity.
-    Returns (id_a[], id_b[], value[]) with id_a < id_b.
+    Returns (id_a, id_b, value) arrays with id_a < id_b.
     """
-    if len(df) == 0:
-        return [], [], []
-    code = df.groupby(key_cols, sort=False).ngroup().to_numpy()
     order = np.argsort(code, kind="stable")
     code = code[order]
-    ids = df[id_col].to_numpy()[order]
-    payload = df["_payload"].to_numpy()[order]
-    band = (df[clique_band_col].to_numpy()[order]
-            if clique_band_col is not None else None)
+    ids = ids[order]
+    payload = payload[order]
+    band = band[order] if band is not None else None
     sizes = np.bincount(code)[code]
     ida, idb, vals = [], [], []
     mask2 = sizes == 2
@@ -389,13 +396,12 @@ def _bucket_pairs(df: pd.DataFrame, key_cols: list[str], id_col: str,
             keep2 = (payload[a_i] != payload[b_i]) | (band[a_i] == 0)
             a_i, b_i = a_i[keep2], b_i[keep2]
         if len(a_i):
-            e = pair_fn_vec(payload[a_i], payload[b_i])
+            ok, val = pair_fn_vec(payload[a_i], payload[b_i])
             A, B = ids[a_i], ids[b_i]
-            lo, hi = np.minimum(A, B), np.maximum(A, B)
-            keep = e[0]
-            ida.extend(lo[keep].tolist()); idb.extend(hi[keep].tolist())
-            vals.extend(e[1][keep].tolist())
-    lim = len(df) if max_bucket is None else max_bucket
+            ida.append(np.minimum(A, B)[ok])
+            idb.append(np.maximum(A, B)[ok])
+            vals.append(val[ok])
+    lim = len(code) if max_bucket is None else max_bucket
     big = (sizes >= 3) & (sizes <= lim)
     if big.any():
         for c in np.unique(code[big]):
@@ -405,22 +411,22 @@ def _bucket_pairs(df: pd.DataFrame, key_cols: list[str], id_col: str,
             bpay = payload[rows][o]
             if band is None:
                 for a_i, b_i in _triu_chunks(len(bids), pair_chunk):
-                    e = pair_fn_vec(bpay[a_i], bpay[b_i])
-                    keep = e[0]
-                    ida.extend(bids[a_i][keep].tolist())
-                    idb.extend(bids[b_i][keep].tolist())
-                    vals.extend(e[1][keep].tolist())
+                    ok, val = pair_fn_vec(bpay[a_i], bpay[b_i])
+                    ida.append(bids[a_i][ok])
+                    idb.append(bids[b_i][ok])
+                    vals.append(val[ok])
             else:
                 _sweep_cliqued(bids, bpay, int(band[rows[0]]), pair_fn_vec,
                                pair_chunk, ida, idb, vals)
-    return ida, idb, vals
+    return (_cat(ida, np.int64), _cat(idb, np.int64),
+            _cat(vals, np.float64))
 
 
 def _sweep_cliqued(bids, bpay, band_val: int, pair_fn_vec, pair_chunk: int,
                    ida: list, idb: list, vals: list) -> None:
     """Big-bucket sweep with identical-payload clique compression (see
-    _bucket_pairs clique_band_col). bids are id-sorted, so members within
-    each payload group and cross-group min/max keep id_a < id_b."""
+    _bucket_pairs ``band``). bids are id-sorted, so members within each
+    payload group and cross-group min/max keep id_a < id_b."""
     uniq, inv = np.unique(bpay, return_inverse=True)
     # member index lists per payload group (stable: preserves id order)
     grp_order = np.argsort(inv, kind="stable")
@@ -436,220 +442,94 @@ def _sweep_cliqued(bids, bpay, band_val: int, pair_fn_vec, pair_chunk: int,
             if not ok[0]:
                 continue
             for a_i, b_i in _triu_chunks(len(mem), pair_chunk):
-                ida.extend(mem[a_i].tolist())
-                idb.extend(mem[b_i].tolist())
-                vals.extend([val[0]] * len(a_i))
+                ida.append(mem[a_i])
+                idb.append(mem[b_i])
+                vals.append(np.repeat(val[:1], len(a_i)))
     # inter-clique pairs: sweep DISTINCT payloads, expand qualifying pairs
     for a_i, b_i in _triu_chunks(len(uniq), pair_chunk):
         ok, val = pair_fn_vec(uniq[a_i], uniq[b_i])
-        for ga, gb, v in zip(a_i[ok].tolist(), b_i[ok].tolist(),
-                             val[ok].tolist()):
+        for ga, gb, v in zip(a_i[ok], b_i[ok], val[ok]):
             ma, mb = members[ga], members[gb]
             A = np.repeat(ma, len(mb))
             B = np.tile(mb, len(ma))
-            lo, hi = np.minimum(A, B), np.maximum(A, B)
-            ida.extend(lo.tolist()); idb.extend(hi.tolist())
-            vals.extend([v] * len(A))
+            ida.append(np.minimum(A, B))
+            idb.append(np.maximum(A, B))
+            vals.append(np.repeat(v, len(A)))
 
 
-def _dedup_pairs_coarse(pairs_ds, val_col: str, val_type: "pa.DataType"):
-    """Global pair dedup: coarse shuffle on a hash of the pair key, then a
-    vectorized drop_duplicates per partition. A pair found by several bands
-    carries an identical value (it is a function of the two full
+def _unique_pairs(ida: np.ndarray, idb: np.ndarray, **vals) -> pa.Table:
+    """(id_a, id_b, *vals) table with one row per (id_a, id_b), the first
+    in input order."""
+    order = np.lexsort((idb, ida))
+    a, b = ida[order], idb[order]
+    first = np.ones(len(a), bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    keep = order[first]
+    return pa.table({"id_a": ida[keep], "id_b": idb[keep],
+                     **{k: v[keep] for k, v in vals.items()}})
+
+
+def _dedup_pairs_coarse(pairs_ds, val_col: str, val_type: "pa.DataType",
+                        n_coarse: "int | None" = None):
+    """Global pair dedup: one keyed exchange on (id_a, id_b), then a
+    vectorized first-per-pair inside each group. A pair found by several
+    bands carries an identical value (it is a function of the two full
     signatures), so keep-first is exact. Cheaper than a native Aggregate
     here: the pair set is small but block counts are high, and Aggregate's
     per-block fixed costs dominate (measured 12s vs ~1s on 95k rows).
+    Always a Dataset with the pair schema, also for a duplicate-free
+    corpus."""
+    def drop_dup(t: pa.Table) -> pa.Table:
+        return _unique_pairs(_np64(t["id_a"]), _np64(t["id_b"]),
+                             **{val_col: _np(t[val_col])})
 
-    A typed empty table is unioned in so a duplicate-free corpus still
-    yields a dataset with the pair schema — map_groups over zero rows
-    otherwise returns a schema-less empty dataset that breaks downstream
-    sorts and column references."""
-    def drop_dup(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.drop_duplicates(["id_a", "id_b"])
-                [["id_a", "id_b", val_col]])
+    return keyed_exchange(pairs_ds, ["id_a", "id_b"], drop_dup,
+                          {**_PAIR_IDS, val_col: val_type}, n_coarse)
 
-    deduped = pairs_ds.groupby("pcoarse").map_groups(drop_dup, batch_format="pandas")
-    return _typed_empty_union(deduped, {"id_a": pa.int64(), "id_b": pa.int64(),
-                                        val_col: val_type})
+
+def _lsh_pairs(bands, keys: "list[str]", id_col: str, payload_of,
+               pair_fn_vec, val_col: str, val_type: "pa.DataType",
+               n_coarse: "int | None",
+               max_bucket: "int | None" = MAX_BUCKET,
+               cliqued: bool = False):
+    """Banded LSH spine: one keyed exchange on the bucket ``keys``, the
+    _bucket_pairs walk per group (``payload_of(table)`` gives the scored
+    payload; ``cliqued`` passes ``band_id`` as its ``band``), a
+    within-group pair dedup, then the global pair dedup exchange."""
+    def pairs_in_group(t: pa.Table) -> pa.Table:
+        t, code = _bucket_codes(t, keys)
+        ida, idb, val = _bucket_pairs(
+            code, _np64(t[id_col]), payload_of(t), pair_fn_vec, max_bucket,
+            band=_np(t["band_id"]) if cliqued else None)
+        return _unique_pairs(ida, idb, **{val_col: val})
+
+    schema = {**_PAIR_IDS, val_col: val_type}
+    pairs = keyed_stage(bands, keys, pairs_in_group, schema, n_coarse)
+    return _dedup_pairs_coarse(pairs, val_col, val_type, n_coarse)
 
 
 def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
-                        threshold: float = 0.7, two_pass: bool = False,
+                        threshold: float = 0.7,
                         n_coarse: int | None = None):
     """Candidate near-dup pairs with estimated Jaccard ≥ threshold.
 
-    shingle→minhash per batch → band explode → COARSE groupby on a hash
-    prefix of (band_id, band_hash) → vectorized bucket walk emits pairs →
-    coarse pair-key shuffle dedups pairs found in several bands. Grouping
-    by the coarse key instead of the exact bucket key cuts Ray's per-group
-    dispatch from one call per bucket (~16k tiny groups) to one per coarse
-    partition (256), with identical results — a full bucket always lands in
-    one coarse group. Buckets larger than MAX_BUCKET are dropped
-    (degenerate content — e.g. empty docs).
-
-    ``two_pass=True`` selects the 100 TB-scale variant: band rows shuffle
-    WITHOUT the signature (≈24 B vs ≈8 KB per row, a ~16× signature-traffic
-    cut), candidate pairs are deduped first, then each pair's two signatures
-    are re-attached by two partitioned hash joins against the (materialized)
-    signature table and the estimate is computed once per pair. Identical
-    output; trades one extra shuffle per side for the 16× amplification.
+    shingle→minhash per batch → band explode (each band row carries the
+    full signature) → keyed exchange on (band_id, band_hash) → vectorized
+    bucket walk emits pairs → pair-key exchange dedups pairs found in
+    several bands. Buckets larger than MAX_BUCKET are dropped (degenerate
+    content — e.g. empty docs).
     """
-    nc = n_coarse or N_COARSE
-    if two_pass:
-        return _minhash_pairs_two_pass(ds, id_col, text_col, threshold, nc)
-    def pairs_in_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.rename(columns={"signature": "_payload"})
-
-        def vec(sa, sb):
-            e = (np.vstack(sa) == np.vstack(sb)).mean(axis=1)
-            return e >= threshold, e
-
-        def one(sa, sb):
-            e = float(np.mean(np.asarray(sa) == np.asarray(sb)))
-            return e if e >= threshold else None
-
-        ida, idb, est = _bucket_pairs(df, ["band_id", "band_hash"], id_col, one, vec)
-        out = pd.DataFrame({"id_a": pd.array(ida, "int64"),
-                            "id_b": pd.array(idb, "int64"),
-                            "est_jaccard": pd.array(est, "float64")})
-        out = out.drop_duplicates(["id_a", "id_b"])  # partial (within-coarse)
-        out["pcoarse"] = ((out["id_a"] * 1000003 + out["id_b"]) % nc).astype("int32")
-        return out
-
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        return _band_coarse(batch, nc)
+    def vec(sa, sb):
+        e = (sa == sb).mean(axis=1)
+        return e >= threshold, e
 
     sigs = ds.map_batches(lambda b: minhash_batch(b, id_col, text_col),
                           batch_format="pyarrow")
     bands = sigs.map_batches(lambda b: lsh_band_rows(b, id_col),
                              batch_format="pyarrow")
-    pairs = (bands.map_batches(add_coarse, batch_format="pyarrow")
-             .groupby("coarse").map_groups(pairs_in_coarse, batch_format="pandas"))
-    return _dedup_pairs_coarse(pairs, "est_jaccard", pa.float64())
-
-
-def _band_coarse(batch: pa.Table, nc: int = N_COARSE) -> pa.Table:
-    from ..str_hash import crc32_of_strings
-    bid = batch["band_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    coarse = ((crc32_of_strings(batch["band_hash"]) ^ bid) % nc) \
-        .astype(np.int32)
-    return batch.append_column("coarse", pa.array(coarse))
-
-
-def _minhash_pairs_two_pass(ds, id_col: str, text_col: str, threshold: float,
-                            nc: int = N_COARSE):
-    """Two-pass MinHash LSH (see minhash_dedup_pairs two_pass flag).
-
-    Pass 1: lean band rows (no signature) → coarse bucket groupby → all
-    within-bucket candidate pairs → pair-key dedup. Pass 2: two partitioned
-    hash joins (tagged union + coarse groupby + pandas merge, the same join
-    shape as dup_clusters) attach sig_a then sig_b; the Jaccard estimate is
-    computed vectorized once per distinct pair and thresholded. Output is
-    identical to the one-pass path: est is a pure function of the two full
-    signatures, so WHERE a pair was found never changes its value."""
-    import ray.data
-
-    sigs = ds.map_batches(lambda b: minhash_batch(b, id_col, text_col),
-                          batch_format="pyarrow").materialize()
-
-    bands = sigs.map_batches(
-        lambda b: lsh_band_rows(b, id_col, include_signature=False),
-        batch_format="pyarrow")
-
-    def cands_in_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(_payload=np.int8(0))  # bucket walk without payloads
-        ida, idb, _ = _bucket_pairs(
-            df, ["band_id", "band_hash"], id_col,
-            lambda a, b: 0.0,
-            lambda sa, sb: (np.ones(len(sa), dtype=bool),
-                            np.zeros(len(sa), dtype=np.float64)))
-        out = pd.DataFrame({"id_a": pd.array(ida, "int64"),
-                            "id_b": pd.array(idb, "int64")})
-        return out.drop_duplicates(["id_a", "id_b"])  # partial (within-coarse)
-
-    # NO separate pair-dedup shuffle: every copy of a pair (found in several
-    # bands/coarse buckets) lands in the same join_a partition — it is keyed
-    # by id_a — so the global dedup folds into join_a's drop_duplicates
-    cands = (bands.map_batches(lambda b: _band_coarse(b, nc),
-                               batch_format="pyarrow")
-             .groupby("coarse").map_groups(cands_in_coarse, batch_format="pandas"))
-
-    def tag_sigs(batch: pa.Table) -> pa.Table:
-        node = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(node)
-        return pa.table({
-            "kind": pa.array(np.ones(n, np.int8)),
-            "id_a": pa.array(np.full(n, -1, np.int64)),
-            "id_b": pa.array(np.full(n, -1, np.int64)),
-            "sig_a": pa.array([None] * n, pa.list_(pa.int64())),
-            "key": pa.array(node),
-            "sig": batch["signature"],
-            "jcoarse": pa.array((node % nc).astype(np.int32))})
-
-    def tag_pairs(batch: pa.Table, key_col: str) -> pa.Table:
-        key = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(key)
-        sig_a = (batch["sig_a"] if "sig_a" in batch.column_names
-                 else pa.array([None] * n, pa.list_(pa.int64())))
-        return pa.table({
-            "kind": pa.array(np.zeros(n, np.int8)),
-            "id_a": batch["id_a"], "id_b": batch["id_b"],
-            "sig_a": sig_a,
-            "key": pa.array(key),
-            "sig": pa.array([None] * n, pa.list_(pa.int64())),
-            "jcoarse": pa.array((key % nc).astype(np.int32))})
-
-    def join_a(df: pd.DataFrame) -> pa.Table:
-        # returns ARROW with an explicit list<int64> sig column — a pandas
-        # return would make Ray re-encode the numpy-array column as a tensor
-        # extension type, which cannot mix with the arrow list blocks of the
-        # next union during its shuffle
-        edg, lbl = df[df["kind"] == 0], df[df["kind"] == 1]
-        if edg.empty:
-            m = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64"),
-                              "sig": pd.Series([], dtype="object")})
-        else:
-            # global pair dedup happens HERE (all copies of a pair share
-            # id_a, the partition key of this join)
-            m = (edg[["id_a", "id_b", "key"]]
-                 .drop_duplicates(["id_a", "id_b"])
-                 .merge(lbl[["key", "sig"]], on="key", how="inner"))
-        return pa.table({
-            "id_a": pa.array(m["id_a"].to_numpy(), pa.int64()),
-            "id_b": pa.array(m["id_b"].to_numpy(), pa.int64()),
-            "sig_a": pa.array([np.asarray(s, dtype=np.int64) for s in m["sig"]],
-                              pa.list_(pa.int64()))})
-
-    def join_b_estimate(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64"),
-                              "est_jaccard": pd.Series([], dtype="float64")})
-        edg, lbl = df[df["kind"] == 0], df[df["kind"] == 1]
-        if edg.empty:
-            return empty
-        m = edg[["id_a", "id_b", "sig_a", "key"]].merge(
-            lbl[["key", "sig"]], on="key", how="inner")
-        if m.empty:
-            return empty
-        est = (np.vstack(m["sig_a"].to_numpy()) ==
-               np.vstack(m["sig"].to_numpy())).mean(axis=1)
-        keep = est >= threshold
-        return pd.DataFrame({"id_a": m["id_a"].to_numpy()[keep],
-                             "id_b": m["id_b"].to_numpy()[keep],
-                             "est_jaccard": est[keep]})
-
-    with_a = (cands.map_batches(lambda b: tag_pairs(b, "id_a"),
-                                batch_format="pyarrow")
-              .union(sigs.map_batches(tag_sigs, batch_format="pyarrow"))
-              .groupby("jcoarse").map_groups(join_a, batch_format="pandas"))
-    pairs = (with_a.map_batches(lambda b: tag_pairs(b, "id_b"),
-                                batch_format="pyarrow")
-             .union(sigs.map_batches(tag_sigs, batch_format="pyarrow"))
-             .groupby("jcoarse").map_groups(join_b_estimate,
-                                            batch_format="pandas"))
-    return _typed_empty_union(pairs, {"id_a": pa.int64(), "id_b": pa.int64(),
-                                      "est_jaccard": pa.float64()})
+    return _lsh_pairs(bands, ["band_id", "band_hash"], id_col,
+                      lambda t: _sig_matrix(t["signature"], NUM_PERM), vec,
+                      "est_jaccard", pa.float64(), n_coarse)
 
 
 # ------------------------------- value-exact MinHash (md5-hash32 domain)
@@ -705,11 +585,32 @@ def md5_minhash_batch(batch: pa.Table, id_col: str = "doc_id",
                               pa.list_(pa.int64()))})
 
 
+def _md5_band_rows(batch: pa.Table, id_col: str, text_col: str,
+                   old_pred=None) -> pa.Table:
+    """(id, band_id, h1, h2, signature[, is_old]) rows of the 8×2 banding
+    over md5_minhash_batch signatures; ``old_pred`` adds the snapshot
+    flag of minhash_pairs_md5_incremental."""
+    t = md5_minhash_batch(batch, id_col, text_col)
+    n = t.num_rows
+    S = _sig_matrix(t["signature"], MD5MH_PERM)
+    ids = _np64(t[id_col])
+    rep = np.repeat(np.arange(n), MD5MH_BANDS)
+    cols = {id_col: pa.array(ids[rep], pa.int64()),
+            "band_id": pa.array(np.tile(np.arange(MD5MH_BANDS,
+                                                  dtype=np.int32), n)),
+            "h1": pa.array(S[:, 0::2].reshape(-1)),
+            "h2": pa.array(S[:, 1::2].reshape(-1)),
+            "signature": t["signature"].take(rep)}
+    if old_pred is not None:
+        cols["is_old"] = pa.array(np.asarray(old_pred(ids), bool)[rep])
+    return pa.table(cols)
+
+
 def minhash_pairs_md5(ds, id_col: str = "doc_id", text_col: str = "text",
                       threshold: float = 0.5, n_coarse: int | None = None):
     """VALUE-EXACT MinHash LSH — the oracle-able sibling of
     minhash_dedup_pairs. Same pipeline shape (signature → band explode →
-    coarse bucket groupby → bucket walk → pair-key dedup), but every step
+    keyed bucket exchange → bucket walk → pair-key dedup), but every step
     has an exact DuckDB form: md5-hash32 shingles, int64 affine min-hash
     mod 2^31-1, 8×2 banding on the LITERAL component pair (h1, h2) —
     never a digest of the band, so no hash-collision caveat — and
@@ -722,61 +623,15 @@ def minhash_pairs_md5(ds, id_col: str = "doc_id", text_col: str = "text",
     a Python loop per gram); the crc32/64-perm family remains the
     throughput path — this one pins the banding/threshold logic to SQL.
     """
-    nc = n_coarse or N_COARSE
+    def vec(sa, sb):
+        e = (sa == sb).sum(axis=1) / float(MD5MH_PERM)
+        return e >= threshold, e
 
-    def band_rows(batch: pa.Table) -> pa.Table:
-        t = md5_minhash_batch(batch, id_col, text_col)
-        n = t.num_rows
-        if n == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                "band_id": pa.array([], pa.int32()),
-                "h1": pa.array([], pa.int64()),
-                "h2": pa.array([], pa.int64()),
-                "signature": pa.array([], pa.list_(pa.int64())),
-                "coarse": pa.array([], pa.int32())})
-        S = np.vstack(t["signature"].to_pylist()).astype(np.int64)
-        rid = np.repeat(t[id_col].to_numpy(), MD5MH_BANDS)
-        band = np.tile(np.arange(MD5MH_BANDS, dtype=np.int32), n)
-        h1 = S[:, 0::2].reshape(-1)
-        h2 = S[:, 1::2].reshape(-1)
-        sig_rep = [s for s in t["signature"].to_pylist()
-                   for _ in range(MD5MH_BANDS)]
-        coarse = ((h1 * 1000003 + h2 + band) % nc).astype(np.int32)
-        return pa.table({
-            id_col: pa.array(rid, pa.int64()),
-            "band_id": pa.array(band, pa.int32()),
-            "h1": pa.array(h1, pa.int64()),
-            "h2": pa.array(h2, pa.int64()),
-            "signature": pa.array(sig_rep, pa.list_(pa.int64())),
-            "coarse": pa.array(coarse)})
-
-    def pairs_in_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.rename(columns={"signature": "_payload"})
-
-        def vec(sa, sb):
-            e = (np.vstack(sa) == np.vstack(sb)).sum(axis=1) / float(
-                MD5MH_PERM)
-            return e >= threshold, e
-
-        def one(sa, sb):
-            e = float(np.sum(np.asarray(sa) == np.asarray(sb))) / MD5MH_PERM
-            return e if e >= threshold else None
-
-        ida, idb, est = _bucket_pairs(df, ["band_id", "h1", "h2"], id_col,
-                                      one, vec, max_bucket=None)
-        out = pd.DataFrame({"id_a": pd.array(ida, "int64"),
-                            "id_b": pd.array(idb, "int64"),
-                            "est_jaccard": pd.array(est, "float64")})
-        out = out.drop_duplicates(["id_a", "id_b"])
-        out["pcoarse"] = ((out["id_a"] * 1000003 + out["id_b"]) % nc) \
-            .astype("int32")
-        return out
-
-    pairs = (ds.map_batches(band_rows, batch_format="pyarrow")
-             .groupby("coarse").map_groups(pairs_in_coarse,
-                                           batch_format="pandas"))
-    return _dedup_pairs_coarse(pairs, "est_jaccard", pa.float64())
+    bands = ds.map_batches(lambda b: _md5_band_rows(b, id_col, text_col),
+                           batch_format="pyarrow")
+    return _lsh_pairs(bands, ["band_id", "h1", "h2"], id_col,
+                      lambda t: _sig_matrix(t["signature"], MD5MH_PERM), vec,
+                      "est_jaccard", pa.float64(), n_coarse, max_bucket=None)
 
 
 def _cross_chunks(m: int, n: int, pair_chunk: int):
@@ -815,90 +670,40 @@ def minhash_pairs_md5_incremental(ds, old_pred,
     the LARGER side at 100 TB) costs old·new, never old², and snapshot-
     internal pairs are never enumerated at all. Bounded slabs via
     _cross_chunks. The snapshot side is never broadcast — both sides ride
-    the same coarse band shuffle and meet in-partition."""
-    nc = n_coarse or N_COARSE
+    the same band exchange and meet in-group."""
+    keys = ["band_id", "h1", "h2"]
 
-    def band_rows(batch: pa.Table) -> pa.Table:
-        t = md5_minhash_batch(batch, id_col, text_col)
-        n = t.num_rows
-        if n == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                "is_old": pa.array([], pa.bool_()),
-                "band_id": pa.array([], pa.int32()),
-                "h1": pa.array([], pa.int64()),
-                "h2": pa.array([], pa.int64()),
-                "signature": pa.array([], pa.list_(pa.int64())),
-                "coarse": pa.array([], pa.int32())})
-        S = np.vstack(t["signature"].to_pylist()).astype(np.int64)
-        ids = t[id_col].to_numpy()
-        old = np.asarray(old_pred(ids), bool)
-        rid = np.repeat(ids, MD5MH_BANDS)
-        rold = np.repeat(old, MD5MH_BANDS)
-        band = np.tile(np.arange(MD5MH_BANDS, dtype=np.int32), n)
-        h1 = S[:, 0::2].reshape(-1)
-        h2 = S[:, 1::2].reshape(-1)
-        sig_rep = [s for s in t["signature"].to_pylist()
-                   for _ in range(MD5MH_BANDS)]
-        coarse = ((h1 * 1000003 + h2 + band) % nc).astype(np.int32)
-        return pa.table({
-            id_col: pa.array(rid, pa.int64()),
-            "is_old": pa.array(rold),
-            "band_id": pa.array(band, pa.int32()),
-            "h1": pa.array(h1, pa.int64()),
-            "h2": pa.array(h2, pa.int64()),
-            "signature": pa.array(sig_rep, pa.list_(pa.int64())),
-            "coarse": pa.array(coarse)})
-
-    def cross_pairs(df: pd.DataFrame) -> pd.DataFrame:
+    def cross_pairs(t: pa.Table) -> pa.Table:
+        t, starts, sizes = _runs(t, keys, keys)
+        ids = _np64(t[id_col])
+        olds = _np(t["is_old"])
+        payload = _sig_matrix(t["signature"], MD5MH_PERM)
         new_id, old_id, est = [], [], []
-        if len(df):
-            code = (df.groupby(["band_id", "h1", "h2"], sort=False)
-                    .ngroup().to_numpy())
-            order = np.argsort(code, kind="stable")
-            code = code[order]
-            ids = df[id_col].to_numpy()[order]
-            olds = df["is_old"].to_numpy()[order]
-            payload = df["signature"].to_numpy()[order]
-            bounds = np.searchsorted(code, np.arange(code[-1] + 2))
-            for g in range(len(bounds) - 1):
-                s, e = bounds[g], bounds[g + 1]
-                if e - s < 2:
-                    continue
-                om = olds[s:e]
-                if om.all() or not om.any():
-                    continue
-                oi = np.where(om)[0] + s
-                ni = np.where(~om)[0] + s
-                So = np.vstack(payload[oi])
-                Sn = np.vstack(payload[ni])
-                for a_i, b_i in _cross_chunks(len(oi), len(ni), 1 << 22):
-                    ev = (So[a_i] == Sn[b_i]).sum(axis=1) \
-                        / float(MD5MH_PERM)
-                    ok = ev >= threshold
-                    old_id.extend(ids[oi[a_i[ok]]].tolist())
-                    new_id.extend(ids[ni[b_i[ok]]].tolist())
-                    est.extend(ev[ok].tolist())
-        out = pd.DataFrame({"id_a": pd.array(new_id, "int64"),
-                            "id_b": pd.array(old_id, "int64"),
-                            "est_jaccard": pd.array(est, "float64")})
-        out = out.drop_duplicates(["id_a", "id_b"])
-        out["pcoarse"] = ((out["id_a"] * 1000003 + out["id_b"]) % nc) \
-            .astype("int32")
-        return out
+        for s, e in zip(starts[sizes >= 2], (starts + sizes)[sizes >= 2]):
+            om = olds[s:e]
+            if om.all() or not om.any():
+                continue
+            oi = np.where(om)[0] + s
+            ni = np.where(~om)[0] + s
+            for a_i, b_i in _cross_chunks(len(oi), len(ni), 1 << 22):
+                ev = (payload[oi[a_i]] == payload[ni[b_i]]).sum(axis=1) \
+                    / float(MD5MH_PERM)
+                ok = ev >= threshold
+                old_id.append(ids[oi[a_i[ok]]])
+                new_id.append(ids[ni[b_i[ok]]])
+                est.append(ev[ok])
+        return _unique_pairs(_cat(new_id, np.int64), _cat(old_id, np.int64),
+                             est_jaccard=_cat(est, np.float64))
 
-    pairs = (ds.map_batches(band_rows, batch_format="pyarrow")
-             .groupby("coarse").map_groups(cross_pairs,
-                                           batch_format="pandas"))
-    out = _dedup_pairs_coarse(pairs, "est_jaccard", pa.float64())
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({"new_id": batch["id_a"], "old_id": batch["id_b"],
-                         "est_jaccard": batch["est_jaccard"]})
-
-    if isinstance(out, pa.Table):
-        return out.rename_columns(["new_id", "old_id", "est_jaccard"])
-    return out.map_batches(rename, batch_format="pyarrow")
+    bands = ds.map_batches(
+        lambda b: _md5_band_rows(b, id_col, text_col, old_pred),
+        batch_format="pyarrow")
+    pairs = keyed_stage(bands, keys, cross_pairs,
+                        {**_PAIR_IDS, "est_jaccard": pa.float64()}, n_coarse)
+    return _dedup_pairs_coarse(pairs, "est_jaccard", pa.float64(),
+                               n_coarse).map_batches(
+        lambda b: b.rename_columns(["new_id", "old_id", "est_jaccard"]),
+        batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- SimHash
@@ -951,60 +756,23 @@ def simhash_near_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     would otherwise collide at hamming 0 and mass-merge as one giant
     near-dup clique. The simhash_pairs_doubled SQL oracle carries the same
     ``simhash <> 0`` predicate on both join sides."""
-    nc = n_coarse or N_COARSE
     def band_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_pylist()
-        hashes = batch["simhash"].to_pylist()
-        oid, ob, oh, osim = [], [], [], []
-        for i, h in zip(ids, hashes):
-            u = np.int64(h).astype(np.uint64)
-            for b in range(4):
-                oid.append(i)
-                ob.append(b)
-                oh.append(int((u >> np.uint64(16 * b)) & np.uint64(0xFFFF)))
-                osim.append(h)
-        return pa.table({id_col: pa.array(oid), "band_id": pa.array(ob, pa.int32()),
-                         "band_val": pa.array(oh, pa.int64()),
-                         "simhash": pa.array(osim, pa.int64())})
+        h = _np64(batch["simhash"])
+        shifts = np.uint64(16) * np.arange(4, dtype=np.uint64)
+        vals = (h.view(np.uint64)[:, None] >> shifts) & np.uint64(0xFFFF)
+        rep = np.repeat(np.arange(len(h)), 4)
+        return pa.table({
+            id_col: batch[id_col].take(rep),
+            "band_id": pa.array(np.tile(np.arange(4, dtype=np.int32),
+                                        len(h))),
+            "band_val": pa.array(vals.reshape(-1).astype(np.int64)),
+            "simhash": pa.array(h[rep])})
 
-    def pairs_in_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.rename(columns={"simhash": "_payload"})
-
-        def vec(sa, sb):
-            x = (sa.astype(np.int64).astype(np.uint64)
-                 ^ sb.astype(np.int64).astype(np.uint64))
-            ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
-            return ham <= max_hamming, ham
-
-        def one(sa, sb):
-            x = np.uint64(np.int64(sa)) ^ np.uint64(np.int64(sb))
-            ham = bin(int(x)).count("1")
-            return ham if ham <= max_hamming else None
-
-        # max_bucket=None: simhash banding + hamming verify is an EXACT
-        # pair set (full recall at hamming ≤ max for 4×16 bands) and its
-        # oracle is a full self-join — a capped bucket would silently
-        # under-emit on any corpus with a big near-identical family.
-        # clique_band_col: identical simhashes share all 4 bands — their
-        # pairs emit once (band 0) with one hamming eval per clique, and
-        # the bucket sweep runs over distinct fingerprints, not rows
-        ida, idb, ham = _bucket_pairs(df, ["band_id", "band_val"], id_col,
-                                      one, vec, max_bucket=None,
-                                      clique_band_col="band_id")
-        out = pd.DataFrame({"id_a": pd.array(ida, "int64"),
-                            "id_b": pd.array(idb, "int64"),
-                            "hamming": pd.array(ham, "int64")})
-        out = out.drop_duplicates(["id_a", "id_b"])
-        out["pcoarse"] = ((out["id_a"] * 1000003 + out["id_b"]) % nc).astype("int32")
-        return out
-
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        # coarse partition of the (band_id, band_val) key space (see the
-        # minhash variant for rationale: nc dispatches instead of ~256k)
-        bid = np.asarray(batch["band_id"])
-        bval = np.asarray(batch["band_val"])
-        coarse = ((bval * np.int64(2654435761) + bid) % nc).astype(np.int32)
-        return batch.append_column("coarse", pa.array(coarse, pa.int32()))
+    def vec(sa, sb):
+        x = sa.view(np.uint64) ^ sb.view(np.uint64)
+        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1) \
+            .sum(axis=1).astype(np.int64)
+        return ham <= max_hamming, ham
 
     sims = ds.map_batches(lambda b: simhash_batch(b, id_col, text_col),
                           batch_format="pyarrow")
@@ -1012,10 +780,17 @@ def simhash_near_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     sims = sims.map_batches(
         lambda b: b.filter(pc.invert(pc.equal(b["simhash"], 0))),
         batch_format="pyarrow")
-    bands = sims.map_batches(band_rows, batch_format="pyarrow")
-    pairs = (bands.map_batches(add_coarse, batch_format="pyarrow")
-             .groupby("coarse").map_groups(pairs_in_coarse, batch_format="pandas"))
-    return _dedup_pairs_coarse(pairs, "hamming", pa.int64())
+    # max_bucket=None: simhash banding + hamming verify is an EXACT pair
+    # set (full recall at hamming ≤ max for 4×16 bands) and its oracle is
+    # a full self-join — a capped bucket would silently under-emit on any
+    # corpus with a big near-identical family. cliqued: identical
+    # simhashes share all 4 bands — their pairs emit once (band 0) with
+    # one hamming eval per clique, and the bucket sweep runs over
+    # distinct fingerprints, not rows
+    return _lsh_pairs(sims.map_batches(band_rows, batch_format="pyarrow"),
+                      ["band_id", "band_val"], id_col,
+                      lambda t: _np64(t["simhash"]), vec, "hamming",
+                      pa.int64(), n_coarse, max_bucket=None, cliqued=True)
 
 
 # ---------------------------------------------------- exact n-gram Jaccard
@@ -1055,37 +830,34 @@ def adjacent_ngram_jaccard(ds, id_col: str = "doc_id", text_col: str = "text",
     twice regardless of corpus size (no broadcast, no N² join).
     Returns (id_a, id_b = id_a+1, jaccard) for pairs where both ids exist.
     """
-    nc = n_coarse or N_COARSE
-
     def fan_out(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_pylist()
         texts = batch[text_col].to_pylist()
         pid, role, txt = [], [], []
         for i, t in zip(ids, texts):
-            pid.append(i); role.append("a"); txt.append(t)
+            pid.append(i); role.append(0); txt.append(t)
             if i > 0:
-                pid.append(i - 1); role.append("b"); txt.append(t)
-        coarse = [p % nc for p in pid]
+                pid.append(i - 1); role.append(1); txt.append(t)
         return pa.table({"pair_id": pa.array(pid, pa.int64()),
-                         "coarse": pa.array(coarse, pa.int32()),
-                         "role": pa.array(role, pa.string()),
+                         "role": pa.array(role, pa.int8()),
                          "text": pa.array(txt, pa.string())})
 
-    def pairs_in_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        ida, idb, jac = [], [], []
-        for p, group in df.groupby("pair_id", sort=False):
-            roles = dict(zip(group["role"], group["text"]))
-            if "a" in roles and "b" in roles:
-                ida.append(int(p)); idb.append(int(p) + 1)
-                jac.append(ngram_jaccard_exact(roles["a"], roles["b"], n))
-        return pd.DataFrame({"id_a": pd.array(ida, "int64"),
-                             "id_b": pd.array(idb, "int64"),
-                             "jaccard": pd.array(jac, "float64")})
+    def pairs_in_group(t: pa.Table) -> pa.Table:
+        # role 0 = left member (text of id), 1 = right member (of id + 1)
+        t, starts, sizes = _runs(t, ["pair_id", "role"], ["pair_id"])
+        role = _np(t["role"])
+        last = starts + sizes - 1
+        both = (role[starts] == 0) & (role[last] == 1)
+        pid = _np64(t["pair_id"])[starts[both]]
+        ta = t["text"].take(starts[both]).to_pylist()
+        tb = t["text"].take(last[both]).to_pylist()
+        jac = [ngram_jaccard_exact(a, b, n) for a, b in zip(ta, tb)]
+        return pa.table({"id_a": pid, "id_b": pid + 1,
+                         "jaccard": pa.array(jac, pa.float64())})
 
-    fanned = ds.map_batches(fan_out, batch_format="pyarrow")
-    return _typed_empty_union(
-        fanned.groupby("coarse").map_groups(pairs_in_coarse, batch_format="pandas"),
-        {"id_a": pa.int64(), "id_b": pa.int64(), "jaccard": pa.float64()})
+    return keyed_exchange(
+        ds.map_batches(fan_out, batch_format="pyarrow"), ["pair_id"],
+        pairs_in_group, {**_PAIR_IDS, "jaccard": pa.float64()}, n_coarse)
 
 
 def _verify_pairs_core(pairs_ds, docs_ds, id_col: str, text_col: str,
@@ -1093,36 +865,32 @@ def _verify_pairs_core(pairs_ds, docs_ds, id_col: str, text_col: str,
                        kernel_factory, extra_cols: "dict[str, pa.DataType]"):
     """Shared candidate→verify repartition-join machinery (see
     verify_pairs_ngram for the full scale rationale). ``kernel_factory()``
-    is called once per verify partition and must return
+    is called once per verify group and must return
     ``fn(id_a, text_a, id_b, text_b) -> tuple`` producing one value per
-    ``extra_cols`` entry — per-partition state (memo caches, encoders)
+    ``extra_cols`` entry — per-group state (memo caches, encoders)
     lives in the factory closure.
 
-    Two-shuffle repartition join (no driver materialization, no broadcast —
-    the documents side may be the whole corpus):
-      1. pairs explode to per-member refs (id, pid, side); union with the
-         documents rows (id, text); groupby(id) stamps the text onto every
-         ref of that document;
-      2. groupby(pid) reunites the two stamped sides and runs the kernel.
-    Both shuffles group on a COARSE partition of their key (id % N_COARSE,
-    crc32(pid) % N_COARSE) and resolve exact keys with a vectorized pandas
-    merge/join inside the group fn — Ray dispatches 256 groups instead of
-    one per document/pair (see minhash_dedup_pairs rationale).
+    Two-exchange repartition join (no driver materialization, no
+    broadcast — the documents side may be the whole corpus):
+      1. pairs explode to per-member refs (id, id_a, id_b, side); union
+         with the documents rows (id, text); a keyed exchange on id stamps
+         the text onto every ref of that document (a sorted-id lookup
+         inside each group);
+      2. a keyed exchange on (id_a, id_b) reunites the two stamped sides
+         (an Arrow inner join inside each group) and runs the kernel.
 
     SEMI-JOIN REDUCTION: only docs that appear in some pair need to enter
-    the stamp shuffle, and that id set is proportional to the DUPLICATE
+    the stamp exchange, and that id set is proportional to the DUPLICATE
     set, not the corpus. When the pair count is small enough that the
     distinct-id array fits a broadcast (≤ ``semi_join_max_ids``), the ids
     are collected once (bounded by the guard, unlike an unbounded label
     loop), broadcast via ray.put, and the corpus side is mask-filtered with
-    a vectorized binary search BEFORE the shuffle — at a 20-30% dup rate
+    a vectorized binary search BEFORE the exchange — at a 20-30% dup rate
     this keeps 70-80% of a 100 TB corpus's text bytes out of the exchange.
     Larger pair sets fall back to the full-corpus repartition join.
     Returns (id_a, id_b, est_jaccard, *extra_cols).
     """
     import ray
-
-    nc = n_coarse or N_COARSE
 
     pairs_mat = pairs_ds.materialize()
     ids_ref = None
@@ -1137,72 +905,64 @@ def _verify_pairs_core(pairs_ds, docs_ds, id_col: str, text_col: str,
         ids_sorted = (np.unique(np.concatenate(chunks).astype(np.int64))
                       if chunks else np.array([], dtype=np.int64))
         ids_ref = ray.put(ids_sorted)
-    pairs_ds = pairs_mat
 
+    # side: 0 = document text row, 1 = ref of the pair's id_a, 2 = of id_b.
+    # Int columns of the other side pad with 0, not null: Ray's sort
+    # shuffle widens nullable ints to float64 in transit (stages/joins.py)
     def pair_refs(batch: pa.Table) -> pa.Table:
-        # fully vectorized interleave: (a,b) → rows [a:"a", b:"b"] per pair
         n = batch.num_rows
-        a = batch["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        rid = np.empty(2 * n, np.int64)
-        rid[0::2] = a
-        rid[1::2] = b
-        keys = np.char.add(np.char.add(a.astype("U20"), "_"),
-                           b.astype("U20"))
+        a = _np64(batch["id_a"])
+        b = _np64(batch["id_b"])
         ej = np.full(2 * n, np.nan)
         ej_mask = np.ones(2 * n, bool)  # True = null
         if "est_jaccard" in batch.column_names:
-            est = batch["est_jaccard"].to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
+            est = _np(batch["est_jaccard"]).astype(np.float64)
             ej[0::2] = est
             ej_mask[0::2] = np.isnan(est)
-        return pa.table({"id": pa.array(rid),
-                         "coarse": pa.array((rid % nc).astype(np.int32)),
-                         "pid": pa.array(np.repeat(keys, 2), pa.string()),
-                         "side": pa.array(np.tile(np.array(["a", "b"],
-                                                           object), n),
-                                          pa.string()),
-                         "text": pa.array([None] * (2 * n), pa.string()),
+        return pa.table({"id": pa.array(np.stack([a, b], 1).reshape(-1)),
+                         "id_a": pa.array(np.repeat(a, 2)),
+                         "id_b": pa.array(np.repeat(b, 2)),
+                         "side": pa.array(np.tile(np.array([1, 2], np.int8),
+                                                  n)),
+                         "text": pa.nulls(2 * n, pa.string()),
                          "est_jaccard": pa.array(ej, pa.float64(),
                                                  mask=ej_mask)})
 
     def doc_rows(batch: pa.Table) -> pa.Table:
         nn = batch.num_rows
-        ids = batch[id_col].to_pylist()
-        return pa.table({"id": pa.array(ids, pa.int64()),
-                         "coarse": pa.array([i % nc for i in ids], pa.int32()),
-                         "pid": pa.array([None] * nn, pa.string()),
-                         "side": pa.array(["t"] * nn, pa.string()),
+        zero = pa.array(np.zeros(nn, np.int64))
+        return pa.table({"id": pc.cast(batch[id_col], pa.int64()),
+                         "id_a": zero, "id_b": zero,
+                         "side": pa.array(np.zeros(nn, np.int8)),
                          "text": pc.cast(batch[text_col], pa.string()),
-                         "est_jaccard": pa.array([None] * nn, pa.float64())})
+                         "est_jaccard": pa.nulls(nn, pa.float64())})
 
-    def stamp_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        texts = (df[df["side"] == "t"][["id", "text"]]
-                 .drop_duplicates("id").rename(columns={"text": "doc_text"}))
-        refs = df[df["side"] != "t"][["id", "pid", "side", "est_jaccard"]]
-        out = refs.merge(texts, on="id", how="inner")
-        from ..str_hash import str_coarse
-        out["pcoarse"] = str_coarse(out["pid"], nc)
-        return out[["pid", "pcoarse", "side", "doc_text", "est_jaccard"]]
+    def stamp(t: pa.Table) -> pa.Table:
+        is_doc = _np(t["side"]) == 0
+        docs = t.filter(pa.array(is_doc))
+        refs = t.filter(pa.array(~is_doc))
+        row, found = _first_index(_np64(docs["id"]), _np64(refs["id"]))
+        refs = refs.filter(pa.array(found))
+        return refs.set_column(refs.schema.get_field_index("text"), "text",
+                               docs["text"].take(row[found]))
 
-    def verify_coarse(df: pd.DataFrame) -> pa.Table:
-        a_side = df[df["side"] == "a"].set_index("pid")
-        b_side = df[df["side"] == "b"].set_index("pid")
-        joined = a_side.join(b_side, how="inner", lsuffix="_a", rsuffix="_b")
+    def verify(t: pa.Table) -> pa.Table:
+        side = t["side"]
+        a_side = t.filter(pc.equal(side, 1)).select(
+            ["id_a", "id_b", "text", "est_jaccard"])
+        b_side = t.filter(pc.equal(side, 2)).select(["id_a", "id_b", "text"]) \
+            .rename_columns(["id_a", "id_b", "text_b"])
+        joined = a_side.join(b_side, ["id_a", "id_b"], join_type="inner")
         kernel = kernel_factory()
-        ida, idb, est = [], [], []
-        extra = [[] for _ in extra_cols]
-        for p, row in joined.iterrows():
-            x, y = (int(v) for v in p.split("_"))
-            ida.append(x); idb.append(y)
-            est.append(row["est_jaccard_a"])
-            for lst, v in zip(extra, kernel(x, row["doc_text_a"],
-                                            y, row["doc_text_b"])):
-                lst.append(v)
+        ida = joined["id_a"].to_pylist()
+        idb = joined["id_b"].to_pylist()
+        extra = list(zip(*(kernel(x, ta, y, tb) for x, ta, y, tb in zip(
+            ida, joined["text"].to_pylist(), idb,
+            joined["text_b"].to_pylist())))) or [[]] * len(extra_cols)
         return pa.table(
             {"id_a": pa.array(ida, pa.int64()),
              "id_b": pa.array(idb, pa.int64()),
-             "est_jaccard": pa.array(est, pa.float64()),
+             "est_jaccard": joined["est_jaccard"],
              **{name: pa.array(vals, typ) for (name, typ), vals
                 in zip(extra_cols.items(), extra)}})
 
@@ -1218,16 +978,18 @@ def _verify_pairs_core(pairs_ds, docs_ds, id_col: str, text_col: str,
         mask = ids_sorted[pos_c] == keys
         return batch.filter(pa.array(mask))
 
-    refs = pairs_ds.map_batches(pair_refs, batch_format="pyarrow")
+    refs = pairs_mat.map_batches(pair_refs, batch_format="pyarrow")
     if ids_ref is not None:
         docs_ds = docs_ds.map_batches(filter_members, batch_format="pyarrow")
     docs = docs_ds.map_batches(doc_rows, batch_format="pyarrow")
-    stamped = refs.union(docs).groupby("coarse").map_groups(
-        stamp_coarse, batch_format="pandas")
-    return _typed_empty_union(
-        stamped.groupby("pcoarse").map_groups(verify_coarse, batch_format="pandas"),
-        {"id_a": pa.int64(), "id_b": pa.int64(), "est_jaccard": pa.float64(),
-         **extra_cols})
+    ref_schema = {"id": pa.int64(), "id_a": pa.int64(), "id_b": pa.int64(),
+                  "side": pa.int8(), "text": pa.string(),
+                  "est_jaccard": pa.float64()}
+    stamped = keyed_stage(refs.union(docs), ["id"], stamp, ref_schema,
+                          n_coarse)
+    return keyed_exchange(
+        stamped, ["id_a", "id_b"], verify,
+        {**_PAIR_IDS, "est_jaccard": pa.float64(), **extra_cols}, n_coarse)
 
 
 def verify_pairs_ngram(pairs_ds, docs_ds, id_col: str = "doc_id",
@@ -1363,28 +1125,21 @@ def fingerprint_collision_pairs(ds, id_col: str = "doc_id",
     same doc-keyed passes as the pair partials below — exact clones score
     1.0 by construction regardless of how much boilerplate they carry.
 
-    Exactly THREE shuffles end to end (each unavoidable: one per
+    Exactly THREE keyed exchanges end to end (each unavoidable: one per
     co-location the algorithm needs):
-      1. fp % nc — the bucket walk (full explode volume);
-      2. id_a % ncp — pair partials AND per-doc eff partials co-locate by
+      1. on fp — the bucket walk (full explode volume);
+      2. on id_a — pair partials AND per-doc eff partials co-locate by
          the pair's LEFT doc, so one group fn both finishes the pair sums
          and attaches eff_a (the doc key of an eff row IS its id_a);
-      3. id_b % ncp — eff rows re-keyed by doc meet the pairs again to
-         attach eff_b, compute the overlap, and filter.
-    The pair rows shuffled in 2 and 3 are the MAX_BUCKET-bounded candidate
-    set — the same volume the pair-sum shuffle alone carried in the
-    previous formulation, which additionally paid two doc-keyed hash joins
-    and two materialization barriers on top (measured 3.3 s → 1.6 s at
+      3. on doc (a pair's id_b, an eff row's own doc) — eff rows meet the
+         pairs again to attach eff_b, compute the overlap, and filter.
+    The pair rows exchanged in 2 and 3 are the MAX_BUCKET-bounded
+    candidate set — the same volume the pair-sum shuffle alone carried in
+    the previous formulation, which additionally paid two doc-keyed hash
+    joins and two materialization barriers on top (measured 3.3 s → 1.6 s at
     sf0.01×2, 32 CPUs). Returns (id_a, id_b, n_shared, overlap),
     id_a < id_b."""
-    import ray.data
     from .text_analysis import winnow_fingerprints
-
-    nc = n_coarse or N_COARSE
-    # the pair/count table is ~100x smaller than the fp explode — size its
-    # two doc-keyed passes separately so they don't pay the explode tier's
-    # per-partition fixed costs
-    ncp = n_coarse_pairs or nc
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_pylist()
@@ -1394,119 +1149,96 @@ def fingerprint_collision_pairs(ds, id_col: str = "doc_id",
             for f in set(winnow_fingerprints(t or "")):
                 out_id.append(i)
                 out_fp.append(f)
-        fp = np.asarray(out_fp, np.int64) if out_fp else np.array([], np.int64)
         return pa.table({id_col: pa.array(out_id, pa.int64()),
-                         "fp": pa.array(fp),
-                         "coarse": pa.array((fp % nc).astype(np.int32))})
+                         "fp": pa.array(out_fp, pa.int64())})
 
-    def finalize(pairs: pd.DataFrame) -> pd.DataFrame:
-        n = pairs["n_shared"].to_numpy()
-        overlap = n / np.maximum(
-            np.minimum(pairs["eff_a"].to_numpy(),
-                       pairs["eff_b"].to_numpy()), 1)
+    def finalize(ida, idb, n, eff_a, eff_b) -> pa.Table:
+        overlap = n / np.maximum(np.minimum(eff_a, eff_b), 1)
         keep = overlap >= threshold
-        return pd.DataFrame({
-            "id_a": pd.array(pairs["id_a"].to_numpy()[keep], "int64"),
-            "id_b": pd.array(pairs["id_b"].to_numpy()[keep], "int64"),
-            "n_shared": pd.array(n[keep], "int64"),
-            "overlap": pd.array(overlap[keep], "float64")})
+        return pa.table({"id_a": ida[keep], "id_b": idb[keep],
+                         "n_shared": n[keep], "overlap": overlap[keep]})
 
-    out = _fp_overlap_pairs(ds.map_batches(explode, batch_format="pyarrow"),
-                            id_col=id_col, cap=MAX_BUCKET, ncp=ncp,
-                            finalize=finalize)
-    return _typed_empty_union(out, {"id_a": pa.int64(), "id_b": pa.int64(),
-                                    "n_shared": pa.int64(),
-                                    "overlap": pa.float64()})
+    # the pair/count table is ~100x smaller than the fp explode — size its
+    # two doc-keyed passes separately so they don't pay the explode tier's
+    # per-partition fixed costs
+    return _fp_overlap_pairs(
+        ds.map_batches(explode, batch_format="pyarrow"), id_col=id_col,
+        cap=MAX_BUCKET, n_coarse=n_coarse,
+        ncp=n_coarse_pairs or n_coarse, finalize=finalize,
+        out_schema={**_PAIR_IDS, "n_shared": pa.int64(),
+                    "overlap": pa.float64()})
 
 
-def _fp_overlap_pairs(exploded, *, id_col: str, cap: int, ncp: int,
-                      finalize):
-    """The shared 3-shuffle fingerprint-overlap machinery (see
-    fingerprint_collision_pairs for the shuffle accounting): ``exploded``
-    carries per-doc DISTINCT (id_col, fp, coarse) rows with the full
-    bucket of any fp routed to one coarse partition. Buckets larger than
-    ``cap`` are discriminative-filtered consistently from BOTH the pair
-    walk and the per-doc effective counts. ``finalize`` receives the
-    resolved (id_a, id_b, n_shared, eff_a, eff_b) frame per id_b
-    partition and scores/filters it."""
+def _fp_overlap_pairs(exploded, *, id_col: str, cap: int,
+                      n_coarse: "int | None", ncp: "int | None",
+                      finalize, out_schema: dict):
+    """The shared 3-exchange fingerprint-overlap machinery (see
+    fingerprint_collision_pairs for the exchange accounting):
+    ``exploded`` carries per-doc DISTINCT (id_col, fp) rows. Buckets
+    larger than ``cap`` are discriminative-filtered consistently from BOTH
+    the pair walk and the per-doc effective counts. ``finalize(id_a, id_b,
+    n_shared, eff_a, eff_b)`` receives the resolved numpy columns per
+    id_b group and returns the scored, filtered ``out_schema`` table.
 
-    def pairs_and_counts(df: pd.DataFrame) -> pd.DataFrame:
-        # surviving buckets: fp doc-frequency <= cap (the full bucket is
-        # in THIS partition — frequency is exact, not partial)
-        sizes = df.groupby("fp")["fp"].transform("size")
-        surv = df[sizes <= cap]
-        # per-doc effective fp partial count (kind rows: id_b = -1)
-        eff = surv.groupby(id_col, as_index=False).size()
-        kind_rows = pd.DataFrame({
-            "id_a": pd.array(eff[id_col], "int64"),
-            "id_b": pd.array([-1] * len(eff), "int64"),
-            "n_shared": pd.array(eff["size"], "int64")})
-        # all-pairs per bucket, fully vectorized BY SIZE CLASS: every bucket
-        # of size s contributes its C(s,2) triu pairs in one gather — no
-        # per-pair Python (the value here is the constant 1, so the generic
-        # _bucket_pairs payload walk isn't needed)
-        code = surv.groupby("fp", sort=False).ngroup().to_numpy()
-        order = np.argsort(code, kind="stable")
-        ids_sorted = surv[id_col].to_numpy()[order]
-        bsizes = np.bincount(code) if len(code) else np.array([], np.int64)
-        starts = np.concatenate([[0], np.cumsum(bsizes)])
+    Rows with ``id_b = -1`` carry a doc's effective fp count (``id_a`` is
+    the doc); ``doc`` names the document a row must meet next."""
+
+    def pairs_and_counts(t: pa.Table) -> pa.Table:
+        # the full bucket of every fp is in THIS group, so its
+        # doc-frequency is exact, not partial
+        t, starts, sizes = _runs(t, ["fp"], ["fp"])
+        ids = _np64(t[id_col])
+        eff_ids, eff_n = np.unique(ids[np.repeat(sizes <= cap, sizes)],
+                                   return_counts=True)
+        # all-pairs per surviving bucket, fully vectorized BY SIZE CLASS:
+        # every bucket of size s contributes its C(s,2) triu pairs in one
+        # gather — no per-pair Python
         out_a, out_b = [], []
-        for s in np.unique(bsizes):
-            if s < 2:
-                continue
-            bsel = np.where(bsizes == s)[0]
-            idx = starts[bsel][:, None] + np.arange(s)[None, :]
-            mat = ids_sorted[idx]                      # (n_buckets, s)
+        for s in np.unique(sizes[(sizes >= 2) & (sizes <= cap)]):
+            mat = ids[starts[sizes == s][:, None] + np.arange(s)[None, :]]
             iu, ju = np.triu_indices(int(s), k=1)
             A, B = mat[:, iu].ravel(), mat[:, ju].ravel()
             out_a.append(np.minimum(A, B))
             out_b.append(np.maximum(A, B))
-        if out_a:
-            pair_rows = pd.DataFrame({
-                "id_a": pd.array(np.concatenate(out_a), "int64"),
-                "id_b": pd.array(np.concatenate(out_b), "int64")})
-            pair_rows = (pair_rows.groupby(["id_a", "id_b"], as_index=False)
-                         .size().rename(columns={"size": "n_shared"}))
-        else:
-            pair_rows = pd.DataFrame({"id_a": pd.array([], "int64"),
-                                      "id_b": pd.array([], "int64"),
-                                      "n_shared": pd.array([], "int64")})
-        out = pd.concat([pair_rows, kind_rows], ignore_index=True)
-        out["k1"] = (out["id_a"] % ncp).astype("int32")
-        return out
+        (pa_, pb), (pn,) = _reduce_by(
+            [_cat(out_a, np.int64), _cat(out_b, np.int64)],
+            [np.ones(sum(map(len, out_a)), np.int64)])
+        return pa.table({
+            "id_a": np.concatenate([pa_, eff_ids]),
+            "id_b": np.concatenate([pb, np.full(len(eff_ids), -1)]),
+            "n_shared": np.concatenate([pn, eff_n]).astype(np.int64)})
 
-    def sum_and_attach_a(df: pd.DataFrame) -> pd.DataFrame:
-        # partition = id_a % ncp. An eff row's doc key IS its id_a, so the
-        # exact per-doc eff count and every partial of each (id_a, *) pair
+    def sum_and_attach_a(t: pa.Table) -> pa.Table:
+        # grouped on id_a. An eff row's doc IS its id_a, so the exact
+        # per-doc eff count and every partial of each (id_a, *) pair
         # finish HERE in one dispatch.
-        g = df.groupby(["id_a", "id_b"], as_index=False)["n_shared"].sum()
-        effs = g[g["id_b"] < 0]
-        pairs = g[g["id_b"] >= 0].copy()
-        eff_a = pairs["id_a"].map(
-            pd.Series(effs["n_shared"].to_numpy(),
-                      index=effs["id_a"].to_numpy()))
-        pairs["eff_a"] = pd.array(eff_a.to_numpy(), "int64")
-        pairs["k2"] = (pairs["id_b"] % ncp).astype("int32")
-        # eff rows ride to pass 3 re-keyed by doc, for the id_b side
-        effs = effs.assign(eff_a=pd.array([0] * len(effs), "int64"),
-                           k2=(effs["id_a"] % ncp).astype("int32"))
-        return pd.concat([pairs, effs], ignore_index=True)
+        (a, b), (n,) = _reduce_by([_np64(t["id_a"]), _np64(t["id_b"])],
+                                  [_np64(t["n_shared"])])
+        eff = b < 0
+        row, _ = _first_index(a[eff], a[~eff])
+        eff_a = np.zeros(len(a), np.int64)
+        eff_a[~eff] = n[eff][row]
+        # pairs travel on to their id_b's group, eff rows to their doc's
+        return pa.table({"id_a": a, "id_b": b, "n_shared": n,
+                         "eff_a": eff_a, "doc": np.where(eff, a, b)})
 
-    def attach_b_and_finalize(df: pd.DataFrame) -> pd.DataFrame:
-        effs = df[df["id_b"] < 0]
-        pairs = df[df["id_b"] >= 0].copy()
-        pairs["eff_b"] = pd.array(pairs["id_b"].map(
-            pd.Series(effs["n_shared"].to_numpy(),
-                      index=effs["id_a"].to_numpy())).to_numpy(), "int64")
-        return finalize(pairs)
+    def attach_b_and_finalize(t: pa.Table) -> pa.Table:
+        a, b = _np64(t["id_a"]), _np64(t["id_b"])
+        n, eff_a = _np64(t["n_shared"]), _np64(t["eff_a"])
+        eff = b < 0
+        row, _ = _first_index(a[eff], b[~eff])
+        p = ~eff
+        return finalize(a[p], b[p], n[p], eff_a[p], n[eff][row])
 
-    return (exploded
-            .groupby("coarse").map_groups(pairs_and_counts,
-                                          batch_format="pandas")
-            .groupby("k1").map_groups(sum_and_attach_a,
-                                      batch_format="pandas")
-            .groupby("k2").map_groups(attach_b_and_finalize,
-                                      batch_format="pandas"))
+    counts = keyed_stage(
+        exploded, ["fp"], pairs_and_counts,
+        {**_PAIR_IDS, "n_shared": pa.int64()}, n_coarse)
+    attached = keyed_stage(
+        counts, ["id_a"], sum_and_attach_a,
+        {**_PAIR_IDS, "n_shared": pa.int64(), "eff_a": pa.int64(),
+         "doc": pa.int64()}, ncp)
+    return keyed_exchange(attached, ["doc"], attach_b_and_finalize,
+                          out_schema, ncp)
 
 
 CONT_DF_CAP = 16     # shingles in more docs are boilerplate: excluded
@@ -1542,9 +1274,6 @@ def shingle_containment_pairs(ds, id_col: str = "doc_id",
     (id_a, id_b, n_shared, cont_a, cont_b), id_a < id_b, where
     cont_a = n_shared / |S(id_a)| — each a single IEEE division of exact
     ints, bit-equal to the SQL."""
-    nc = n_coarse or N_COARSE
-    ncp = n_coarse_pairs or nc
-
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_pylist()
         texts = batch[text_col].to_pylist()
@@ -1553,34 +1282,24 @@ def shingle_containment_pairs(ds, id_col: str = "doc_id",
             fps = np.unique(md5_shingle32(t))
             out_id.extend([i] * len(fps))
             out_fp.append(fps)
-        fp = (np.concatenate(out_fp).astype(np.int64) if out_fp
-              else np.array([], np.int64))
         return pa.table({id_col: pa.array(out_id, pa.int64()),
-                         "fp": pa.array(fp),
-                         "coarse": pa.array((fp % nc).astype(np.int32))})
+                         "fp": pa.array(_cat(out_fp, np.int64))})
 
-    def finalize(pairs: pd.DataFrame) -> pd.DataFrame:
-        n = pairs["n_shared"].to_numpy()
-        eff_a = pairs["eff_a"].to_numpy()
-        eff_b = pairs["eff_b"].to_numpy()
+    def finalize(ida, idb, n, eff_a, eff_b) -> pa.Table:
         cont_a = n / np.maximum(eff_a, 1)
         cont_b = n / np.maximum(eff_b, 1)
         keep = ((np.maximum(cont_a, cont_b) >= threshold)
                 & (eff_a >= CONT_MIN_GRAMS) & (eff_b >= CONT_MIN_GRAMS))
-        return pd.DataFrame({
-            "id_a": pd.array(pairs["id_a"].to_numpy()[keep], "int64"),
-            "id_b": pd.array(pairs["id_b"].to_numpy()[keep], "int64"),
-            "n_shared": pd.array(n[keep], "int64"),
-            "cont_a": pd.array(cont_a[keep], "float64"),
-            "cont_b": pd.array(cont_b[keep], "float64")})
+        return pa.table({"id_a": ida[keep], "id_b": idb[keep],
+                         "n_shared": n[keep], "cont_a": cont_a[keep],
+                         "cont_b": cont_b[keep]})
 
-    out = _fp_overlap_pairs(ds.map_batches(explode, batch_format="pyarrow"),
-                            id_col=id_col, cap=CONT_DF_CAP, ncp=ncp,
-                            finalize=finalize)
-    return _typed_empty_union(out, {"id_a": pa.int64(), "id_b": pa.int64(),
-                                    "n_shared": pa.int64(),
-                                    "cont_a": pa.float64(),
-                                    "cont_b": pa.float64()})
+    return _fp_overlap_pairs(
+        ds.map_batches(explode, batch_format="pyarrow"), id_col=id_col,
+        cap=CONT_DF_CAP, n_coarse=n_coarse,
+        ncp=n_coarse_pairs or n_coarse, finalize=finalize,
+        out_schema={**_PAIR_IDS, "n_shared": pa.int64(),
+                    "cont_a": pa.float64(), "cont_b": pa.float64()})
 
 
 # ------------------------------------------------- embedding near-dup (LSH)
@@ -1605,8 +1324,6 @@ def embedding_near_pairs(ds, id_col: str = "vec_id", vec_col: str = "embedding",
     within-bucket pairwise cosine. Brute path (oracle-sized inputs): single
     pairwise pass per group of everything (bucket = 0).
     """
-    nc = n_coarse or N_COARSE
-
     def bucket_rows(batch: pa.Table) -> pa.Table:
         # null-row-dropping Arrow flatten (stages/similarity) — a null
         # embedding can't participate and must not abort the job
@@ -1616,7 +1333,6 @@ def embedding_near_pairs(ds, id_col: str = "vec_id", vec_col: str = "embedding",
         if len(ids) == 0:
             return pa.table({id_col: pa.array([], pa.int64()),
                              "bucket": pa.array([], pa.int64()),
-                             "coarse": pa.array([], pa.int32()),
                              "unit": pa.array([], pa.list_(pa.float64()))})
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -1629,30 +1345,35 @@ def embedding_near_pairs(ds, id_col: str = "vec_id", vec_col: str = "embedding",
             buckets = (bits.astype(np.uint64) << np.arange(N_PLANES, dtype=np.uint64)).sum(axis=1).astype(np.int64)
         return pa.table({id_col: pa.array(ids, pa.int64()),
                          "bucket": pa.array(buckets, pa.int64()),
-                         "coarse": pa.array(buckets % nc, pa.int32()),
                          "unit": pa.array(list(unit), pa.list_(pa.float64()))})
 
-    def pairs_in_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for _, group in df.groupby("bucket", sort=False):
-            g = group.drop_duplicates(id_col).sort_values(id_col)
-            if len(g) < 2:
+    def pairs_in_group(t: pa.Table) -> pa.Table:
+        t, starts, sizes = _runs(t, ["bucket", id_col], ["bucket"])
+        ids = _np64(t[id_col])
+        unit = _np(t["unit"].combine_chunks().flatten()) \
+            .reshape(t.num_rows, -1)
+        ida, idb, cos = [], [], []
+        for s, e in zip(starts[sizes >= 2], (starts + sizes)[sizes >= 2]):
+            # first row per id (the stable sort keeps input order)
+            first = np.ones(e - s, bool)
+            first[1:] = ids[s + 1:e] != ids[s:e - 1]
+            if first.sum() < 2:
                 continue
-            ids = g[id_col].to_numpy()
-            mat = np.array(g["unit"].tolist(), dtype=np.float64)
+            bid = ids[s:e][first]
+            mat = unit[s:e][first]
             sims = mat @ mat.T
-            ii, jj = np.triu_indices(len(ids), k=1)
+            ii, jj = np.triu_indices(len(bid), k=1)
             keep = sims[ii, jj] >= threshold
-            for i, j, s in zip(ii[keep], jj[keep], sims[ii, jj][keep]):
-                rows.append({"id_a": int(ids[i]), "id_b": int(ids[j]),
-                             "cosine": float(s)})
-        return pd.DataFrame(rows, columns=["id_a", "id_b", "cosine"]).astype(
-            {"id_a": "int64", "id_b": "int64", "cosine": "float64"})
+            ida.append(bid[ii[keep]])
+            idb.append(bid[jj[keep]])
+            cos.append(sims[ii, jj][keep])
+        return pa.table({"id_a": _cat(ida, np.int64),
+                         "id_b": _cat(idb, np.int64),
+                         "cosine": _cat(cos, np.float64)})
 
-    buckets = ds.map_batches(bucket_rows, batch_format="pyarrow")
-    return _typed_empty_union(
-        buckets.groupby("coarse").map_groups(pairs_in_coarse, batch_format="pandas"),
-        {"id_a": pa.int64(), "id_b": pa.int64(), "cosine": pa.float64()})
+    return keyed_exchange(
+        ds.map_batches(bucket_rows, batch_format="pyarrow"), ["bucket"],
+        pairs_in_group, {**_PAIR_IDS, "cosine": pa.float64()}, n_coarse)
 
 
 # -------------------------------------------- duplicate-cluster assignment
@@ -1677,12 +1398,12 @@ def dup_clusters(pairs_ds, n_iter: "int | None" = None):
     hops, the round-3 behavior.
 
     Per round, label(src) ← min over neighbors' labels. The relabel step is
-    a dst-partitioned hash join: edges (keyed by dst) and the current label
-    table (keyed by node) are co-partitioned by ``key % N_COARSE`` via a
-    tagged union + groupby(coarse).map_groups, and merged with a vectorized
-    pandas merge inside each partition. A partial min per src inside the
-    join partition (combiner) shrinks the second shuffle; a src-partitioned
-    groupby finishes the min and compares against the previous label.
+    a dst-keyed hash join: edges (keyed by dst) and the current label
+    table (keyed by node) meet in one keyed exchange on ``key`` as a
+    tagged union, and resolve with a sorted-key lookup inside each group.
+    A partial min per src inside the join group (combiner) shrinks the
+    second exchange; a src-keyed exchange finishes the min and compares
+    against the previous label.
 
     Convergence is a distributed sum over a per-row ``changed`` flag:
     propagation is monotone (labels only decrease; the self-edge keeps the
@@ -1729,11 +1450,6 @@ def dup_clusters(pairs_ds, n_iter: "int | None" = None):
         # (~10 ms/block × rounds), so coalesce once to the round block count
         edges = edges.repartition(n_coarse).materialize()
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        key = batch["key"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "coarse", pa.array((key % n_coarse).astype(np.int32)))
-
     def tag_labels(batch: pa.Table) -> pa.Table:
         node = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
         lbl = batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1743,39 +1459,39 @@ def dup_clusters(pairs_ds, n_iter: "int | None" = None):
             "key": pa.array(node),
             "label": pa.array(lbl)})
 
-    def join_relabel(df: pd.DataFrame) -> pd.DataFrame:
-        # one coarse partition: edges (kind 0) ⨝ labels (kind 1) on key.
-        # Round 1 has no label rows — the fillna(key) fallback makes the
-        # identity labeling implicit, so no separate initial pass is needed.
-        edg = df[df["kind"] == 0]
-        lbl = df[df["kind"] == 1]
-        if edg.empty:
-            return pd.DataFrame({"src": pd.Series([], dtype="int64"),
-                                 "label": pd.Series([], dtype="int64"),
-                                 "is_old": pd.Series([], dtype="int8"),
-                                 "coarse2": pd.Series([], dtype="int32")})
-        m = edg[["src", "key"]].merge(
-            lbl[["key", "label"]], on="key", how="left")
-        m["label"] = m["label"].fillna(m["key"]).astype("int64")
-        # combiner: partial min per src inside the join partition shrinks
-        # the second shuffle to ≤ one row per (src, partition)
-        part = m.groupby("src", as_index=False)["label"].min()
-        part["is_old"] = np.int8(0)
+    def join_relabel(t: pa.Table) -> pa.Table:
+        # one group: edges (kind 0) ⨝ labels (kind 1) on key. Round 1
+        # has no label rows — a key without one labels itself, so the
+        # identity labeling is implicit and needs no separate initial pass.
+        e = _np(t["kind"]) == 0
+        key_all = _np64(t["key"])
+        src, key = _np64(t["src"])[e], key_all[e]
+        row, found = _first_index(key_all[~e], key)
+        label = key.copy()
+        label[found] = _np64(t["label"])[~e][row[found]]
+        # combiner: partial min per src inside the join group shrinks the
+        # second exchange to ≤ one row per (src, group)
+        (part_src,), (part,) = _reduce_by([src], [label], np.minimum)
         # self-edge rows carry the PREVIOUS label of src (identity in r1)
-        old = m.loc[m["src"] == m["key"], ["src", "label"]].drop_duplicates("src")
-        old["is_old"] = np.int8(1)
-        out = pd.concat([part, old], ignore_index=True)
-        out["coarse2"] = (out["src"] % n_coarse).astype("int32")
-        return out
+        own = src == key
+        (old_src,), (old,) = _reduce_by([src[own]], [label[own]],
+                                        np.minimum)
+        return pa.table({
+            "src": np.concatenate([part_src, old_src]),
+            "label": np.concatenate([part, old]),
+            "is_old": np.concatenate([np.zeros(len(part), np.int8),
+                                      np.ones(len(old), np.int8)])})
 
-    def finalize_min(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("src")
-        new = g["label"].min()  # old label is among candidates (self-edge)
-        old = df[df["is_old"] == 1].groupby("src")["label"].first()
-        out = new.reset_index()
-        out["changed"] = (new.to_numpy() < old.reindex(new.index).to_numpy()
-                          ).astype("int64")
-        return out[["src", "label", "changed"]]
+    def finalize_min(t: pa.Table) -> pa.Table:
+        src, label = _np64(t["src"]), _np64(t["label"])
+        old = _np(t["is_old"]) == 1
+        # the old label is among the candidates (self-edge)
+        (node,), (new,) = _reduce_by([src], [label], np.minimum)
+        row, found = _first_index(src[old], node)
+        prev = new.copy()
+        prev[found] = label[old][row[found]]
+        return pa.table({"src": node, "label": new,
+                         "changed": (new < prev).astype(np.int64)})
 
     labels = None
     rounds = n_iter if n_iter is not None else MAX_CC_ROUNDS
@@ -1783,12 +1499,15 @@ def dup_clusters(pairs_ds, n_iter: "int | None" = None):
     for _ in range(rounds):
         tagged = edges if labels is None else edges.union(
             labels.map_batches(tag_labels, batch_format="pyarrow"))
-        labels = (tagged.map_batches(add_coarse, batch_format="pyarrow")
-                  .groupby("coarse")
-                  .map_groups(join_relabel, batch_format="pandas")
-                  .groupby("coarse2")
-                  .map_groups(finalize_min, batch_format="pandas")
-                  .materialize())
+        joined = keyed_stage(
+            tagged, ["key"], join_relabel,
+            {"src": pa.int64(), "label": pa.int64(), "is_old": pa.int8()},
+            n_coarse)
+        # never empty: every edge endpoint gets a label
+        labels = keyed_stage(
+            joined, ["src"], finalize_min,
+            {"src": pa.int64(), "label": pa.int64(), "changed": pa.int64()},
+            n_coarse).materialize()
         changed = labels.sum("changed", ignore_nulls=True) or 0
         if changed == 0:
             converged = True
@@ -1820,19 +1539,15 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     Returns (id, clean_text, n_removed). C4 (Raffel et al., JMLR'20 §2.2)
     applies the same rule at three-sentence granularity.
 
-    Exactly TWO shuffles:
-      1. line-keyed (crc32(line) % nc) — every copy of an eligible line
-         lands in one partition, where a vectorized sort marks the first
-         occurrence. INELIGIBLE lines ride the same exchange under a
-         (doc, line_idx)-derived key instead of the line hash: they need
-         no co-location (always kept), and routing them by value would
-         put every blank line in one partition.
-      2. doc-keyed (id % ncd) — lines regroup per document and rejoin in
-         line_idx order.
+    Exactly TWO keyed exchanges:
+      1. line-keyed — every copy of an eligible line lands in one group,
+         where a vectorized sort marks the first occurrence. INELIGIBLE
+         lines ride the same exchange keyed by (line, doc) instead: they
+         need no co-location (always kept), and keying them by value
+         alone would put every blank line in one group.
+      2. doc-keyed (``n_coarse_docs`` groups) — lines regroup per
+         document and rejoin in line_idx order.
     """
-    nc = n_coarse or N_COARSE
-    ncd = n_coarse_docs or nc
-
     def explode(batch: pa.Table) -> pa.Table:
         text = pc.fill_null(batch[text_col], "")
         lines = pc.split_pattern(text, "\n")
@@ -1846,81 +1561,67 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         idxs = np.arange(total, dtype=np.int64) - np.repeat(ends - lens, lens)
         rids = np.repeat(ids, lens)
         nch = pc.utf8_length(flat).to_numpy().astype(np.int64)
-        elig = nch >= min_chars
-        coarse = (rids * 1000003 + idxs) % nc          # spread, no skew
-        if elig.any():
-            # only eligible lines are hashed — straight off the Arrow
-            # buffer (str_hash), no Python-object conversion at all
-            from ..str_hash import crc32_of_strings
-            coarse[elig] = crc32_of_strings(
-                flat.filter(pa.array(elig))) % nc
-        return pa.table({
-            "_id": pa.array(rids, pa.int64()),
-            "line_idx": pa.array(idxs, pa.int64()),
-            "line": flat,
-            "elig": pa.array(elig),
-            "coarse": pa.array(coarse.astype(np.int32))})
+        return _unit_rows(rids, idxs, flat, nch >= min_chars)
 
-    return _first_occurrence_dedup(ds, explode, id_col, "\n", ncd)
+    return _first_occurrence_dedup(ds, explode, id_col, "\n", n_coarse,
+                                   n_coarse_docs or n_coarse)
+
+
+def _unit_rows(rids: np.ndarray, idxs: np.ndarray, units: pa.Array,
+               elig: np.ndarray) -> pa.Table:
+    """(_id, line_idx, line, elig, spread) unit rows. The exchange keys on
+    (line, spread): ``spread`` is 0 on eligible units, so every copy of
+    one meets in one group, and the doc id on the always-kept rest, so
+    ubiquitous short units (blank lines) spread over groups instead of
+    piling into one."""
+    return pa.table({
+        "_id": pa.array(rids, pa.int64()),
+        "line_idx": pa.array(idxs, pa.int64()),
+        "line": units,
+        "elig": pa.array(elig),
+        "spread": pa.array(np.where(elig, 0, rids))})
 
 
 def _first_occurrence_dedup(ds, explode, id_col: str, join_sep: str,
-                            ncd: int):
+                            n_coarse: "int | None", ncd: "int | None"):
     """Shared spine of line_dedup / sentence_dedup: ``explode`` emits
-    (_id, line_idx, line, elig, coarse) unit rows; eligible units survive
-    only at their first (doc_id, idx) occurrence; docs reassemble in unit
-    order joined by ``join_sep``. Two shuffles (unit-keyed resolve,
-    doc-keyed reassemble), exactly as documented on line_dedup."""
+    _unit_rows; eligible units survive only at their first (doc_id, idx)
+    occurrence; docs reassemble in unit order joined by ``join_sep``. Two
+    keyed exchanges (unit-keyed resolve, doc-keyed reassemble), exactly as
+    documented on line_dedup."""
 
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        keep = np.ones(len(df), dtype=bool)
-        e = df[df["elig"]]
+    def resolve(t: pa.Table) -> pa.Table:
+        keep = np.ones(t.num_rows, bool)
+        e = np.flatnonzero(_np(t["elig"]))
         if len(e):
-            order = e.sort_values(["line", "_id", "line_idx"],
-                                  kind="mergesort")
-            first = ~order["line"].duplicated().to_numpy()
-            keep[order.index.to_numpy()] = first
-        out = df[["_id", "line_idx", "line"]].copy()
-        out["keep"] = keep
-        out["dcoarse"] = (out["_id"] % ncd).astype(np.int32)
-        return out
+            el, starts, _ = _runs(
+                t.take(e).append_column("_row", pa.array(e)),
+                ["line", "_id", "line_idx"], ["line"])
+            first = np.zeros(len(e), bool)
+            first[starts] = True
+            keep[_np(el["_row"])] = first
+        return t.select(["_id", "line_idx", "line"]) \
+            .append_column("keep", pa.array(keep))
 
-    def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):  # map_groups never passes empty groups today, but
-            return pd.DataFrame({  # keep the fn total rather than half-guarded
-                "_id": pd.array([], "int64"),
-                "clean_text": pd.array([], "string"),
-                "n_removed": pd.array([], "int64")})
-        d = df.sort_values(["_id", "line_idx"], kind="mergesort")
-        ids = d["_id"].to_numpy()
-        keep = d["keep"].to_numpy()
-        lines = d["line"].to_numpy()
-        # doc boundaries over the (id, line_idx)-sorted rows
-        bound = np.flatnonzero(np.diff(ids)) + 1
-        starts = np.concatenate(([0], bound))
-        ends_ = np.concatenate((bound, [len(ids)]))
-        texts = [join_sep.join(lines[s:e][keep[s:e]])
-                 for s, e in zip(starts, ends_)]
-        removed = np.add.reduceat(~keep, starts)
-        return pd.DataFrame({
-            "_id": pd.array(ids[starts], "int64"),
-            "clean_text": pd.array(texts, "string"),
-            "n_removed": pd.array(removed.astype(np.int64), "int64")})
+    def reassemble(t: pa.Table) -> pa.Table:
+        t, starts, sizes = _runs(t, ["_id", "line_idx"], ["_id"])
+        keep = _np(t["keep"])
+        lines = _np(t["line"])
+        texts = [join_sep.join(lines[s:s + n][keep[s:s + n]])
+                 for s, n in zip(starts, sizes)]
+        return pa.table({
+            id_col: _np64(t["_id"])[starts],
+            "clean_text": pa.array(texts, pa.string()),
+            "n_removed": np.add.reduceat(~keep, starts).astype(np.int64)})
 
-    out = (ds.map_batches(explode, batch_format="pyarrow")
-           .groupby("coarse").map_groups(resolve, batch_format="pandas")
-           .groupby("dcoarse").map_groups(reassemble, batch_format="pandas"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({id_col: batch["_id"],
-                         "clean_text": pc.cast(batch["clean_text"],
-                                               pa.string()),
-                         "n_removed": batch["n_removed"]})
-
-    out = out.map_batches(rename, batch_format="pyarrow")
-    return nonempty_or_typed_table(out, {
-        id_col: pa.int64(), "clean_text": pa.string(),
-        "n_removed": pa.int64()})
+    schema = {id_col: pa.int64(), "clean_text": pa.string(),
+              "n_removed": pa.int64()}
+    resolved = keyed_stage(
+        ds.map_batches(explode, batch_format="pyarrow"), ["line", "spread"],
+        resolve, {"_id": pa.int64(), "line_idx": pa.int64(),
+                  "line": pa.string(), "keep": pa.bool_()}, n_coarse)
+    return nonempty_or_typed_table(
+        keyed_stage(resolved, ["_id"], reassemble, schema, ncd), schema)
 
 
 SENTENCE_MARK = "\x01"
@@ -1951,9 +1652,6 @@ def sentence_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     Same two-shuffle scale shape as line_dedup (the shared
     _first_occurrence_dedup spine)."""
-    nc = n_coarse or N_COARSE
-    ncd = n_coarse_docs or nc
-
     def explode(batch: pa.Table) -> pa.Table:
         text = pc.fill_null(batch[text_col], "")
         marked = pc.replace_substring_regex(
@@ -1982,20 +1680,10 @@ def sentence_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
                     - np.repeat(starts, seg_len))
         else:
             idxs = np.array([], np.int64)
-        elig = nch >= min_chars
-        coarse = (rids * 1000003 + idxs) % nc
-        if elig.any():
-            from ..str_hash import crc32_of_strings
-            coarse[elig] = crc32_of_strings(
-                flat.filter(pa.array(elig))) % nc
-        return pa.table({
-            "_id": pa.array(rids, pa.int64()),
-            "line_idx": pa.array(idxs, pa.int64()),
-            "line": flat,
-            "elig": pa.array(elig),
-            "coarse": pa.array(coarse.astype(np.int32))})
+        return _unit_rows(rids, idxs, flat, nch >= min_chars)
 
-    return _first_occurrence_dedup(ds, explode, id_col, " ", ncd)
+    return _first_occurrence_dedup(ds, explode, id_col, " ", n_coarse,
+                                   n_coarse_docs or n_coarse)
 
 
 # --------------------------------------------- k-token window dup statistics
@@ -2071,22 +1759,14 @@ def _rolling_hashes(th: np.ndarray, lens: np.ndarray, k: int):
 
 
 def _window_count_rows(batch: pa.Table, id_col: str, text_col: str,
-                       k: int, nc: int, side: int) -> pa.Table:
+                       k: int, side: int) -> pa.Table:
     """Shared window combiner for dup_window_stats / cross_window_overlap:
-    (id, h1, h2) copy counts per batch, coarse = h1 % nc, plus a ``side``
-    tag (0 = doc side, 1 = reference side) so the two operators key their
-    shuffles identically by construction."""
+    (id, h1, h2) copy counts per batch plus a ``side`` tag (0 = doc side,
+    1 = reference side), so the two operators key their exchanges on
+    (h1, h2) identically by construction."""
     texts = batch[text_col].to_pylist()
     toks = [(t or "").split() for t in texts]
     wdoc, _, h1, h2 = _window_hashes(toks, k)
-    empty = pa.table({"_id": pa.array([], pa.int64()),
-                      "side": pa.array([], pa.int8()),
-                      "h1": pa.array([], pa.int64()),
-                      "h2": pa.array([], pa.int64()),
-                      "cnt": pa.array([], pa.int64()),
-                      "coarse": pa.array([], pa.int32())})
-    if len(wdoc) == 0:
-        return empty
     if id_col is not None:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         t = pa.table({"_id": pa.array(ids[wdoc]),
@@ -2103,11 +1783,40 @@ def _window_count_rows(batch: pa.Table, id_col: str, text_col: str,
         g = g.append_column("_id", pa.array(
             np.zeros(g.num_rows, np.int64)))
         cnt = pa.array(np.zeros(g.num_rows, np.int64))
-    coarse = (g["h1"].to_numpy().view(np.uint64) % np.uint64(nc))
     return pa.table({"_id": g["_id"],
                      "side": pa.array(np.full(g.num_rows, side, np.int8)),
-                     "h1": g["h1"], "h2": g["h2"], "cnt": cnt,
-                     "coarse": pa.array(coarse.astype(np.int32))})
+                     "h1": g["h1"], "h2": g["h2"], "cnt": cnt})
+
+
+def _per_doc_ratio(windows, resolve, id_col: str, names: "list[str]",
+                   n_coarse: "int | None", ncd: "int | None"):
+    """Shared two-exchange shape of dup_window_stats and
+    cross_window_overlap: ``resolve`` turns one (h1, h2)-keyed group of
+    _window_count_rows into per-doc partial (_id, n_part, n_hit_part)
+    rows; a doc-keyed exchange sums them into (id_col, names[0] = total,
+    names[1] = hits, names[2] = hits / total)."""
+    def per_doc(t: pa.Table) -> pa.Table:
+        (ids,), (n, hit) = _reduce_by(
+            [_np64(t["_id"])], [_np64(t["n_part"]), _np64(t["n_hit_part"])])
+        return pa.table({
+            id_col: ids, names[0]: n, names[1]: hit,
+            # IEEE double division — bit-matches the oracle's nd*1.0/nw
+            names[2]: hit.astype(np.float64) / n.astype(np.float64)})
+
+    partials = keyed_stage(
+        windows, ["h1", "h2"], resolve,
+        {"_id": pa.int64(), "n_part": pa.int64(), "n_hit_part": pa.int64()},
+        n_coarse)
+    schema = {id_col: pa.int64(), names[0]: pa.int64(),
+              names[1]: pa.int64(), names[2]: pa.float64()}
+    return nonempty_or_typed_table(
+        keyed_stage(partials, ["_id"], per_doc, schema, ncd), schema)
+
+
+def _doc_partials(ids: np.ndarray, cnt: np.ndarray,
+                  hit: np.ndarray) -> pa.Table:
+    (u,), (n, h) = _reduce_by([ids], [cnt, np.where(hit, cnt, 0)])
+    return pa.table({"_id": u, "n_part": n, "n_hit_part": h})
 
 
 def dup_window_stats(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -2125,83 +1834,55 @@ def dup_window_stats(ds, id_col: str = "doc_id", text_col: str = "text",
     its token sequence occurs in ≥ ``min_docs`` DISTINCT documents
     corpus-wide.
 
-    Exactly two bucketed shuffles, combiner-compressed on both sides:
+    Exactly two keyed exchanges, combiner-compressed on both sides:
       1. window-hash-keyed: stage 1 pre-aggregates (doc, h1, h2) → copy
-         count per batch (combiner), shuffles on crc-derived
-         ``h1 % n_coarse`` so every copy of a window value co-locates;
-         inside a partition a vectorized pandas transform marks hashes
-         reaching ``min_docs`` distinct docs and re-aggregates to one row
-         per (doc, partition);
+         count per batch (combiner), exchanges on (h1, h2) so every copy
+         of a window value co-locates; inside a group a vectorized sort
+         marks hashes reaching ``min_docs`` distinct docs and
+         re-aggregates to one row per (doc, group);
       2. doc-keyed: per-doc sums over ≤ n_coarse partial rows per doc.
-    Neither shuffle ever carries window TEXT — only 128-bit hashes, and
+    Neither exchange ever carries window TEXT — only 128-bit hashes, and
     after the combiner only per-(doc,hash) counts.
     """
-    nc = n_coarse or N_COARSE
-    ncd = n_coarse_docs or nc
+    def resolve(t: pa.Table) -> pa.Table:
+        # all copies of a given (h1, h2) are in this group
+        t, starts, sizes = _runs(t, ["h1", "h2", "_id"], ["h1", "h2"])
+        ids = _np64(t["_id"])
+        new_doc = np.zeros(len(ids), bool)
+        new_doc[starts] = True
+        new_doc[1:] |= ids[1:] != ids[:-1]
+        ndocs = np.add.reduceat(new_doc, starts)
+        return _doc_partials(ids, _np64(t["cnt"]),
+                             np.repeat(ndocs >= min_docs, sizes))
 
-    def explode(batch: pa.Table) -> pa.Table:
-        return _window_count_rows(batch, id_col, text_col, k, nc, side=0)
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        # all copies of a given (h1, h2) are in this partition
-        ndocs = df.groupby(["h1", "h2"])["_id"].transform("nunique")
-        dup = (ndocs >= min_docs).to_numpy()
-        cnt = df["cnt"].to_numpy()
-        out = pd.DataFrame({
-            "_id": df["_id"].to_numpy(),
-            "n_part": cnt,
-            "n_dup_part": np.where(dup, cnt, 0)})
-        out = out.groupby("_id", as_index=False).sum()
-        out["dcoarse"] = (out["_id"] % ncd).astype(np.int32)
-        return out
-
-    def per_doc(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("_id", as_index=False)[["n_part", "n_dup_part"]].sum()
-        return pd.DataFrame({
-            "_id": g["_id"].astype("int64"),
-            "n_windows": g["n_part"].astype("int64"),
-            "n_dup_windows": g["n_dup_part"].astype("int64"),
-            # IEEE double division — bit-matches the oracle's nd*1.0/nw
-            "dup_ratio": g["n_dup_part"].to_numpy(np.float64)
-                         / g["n_part"].to_numpy(np.float64)})
-
-    out = (ds.map_batches(explode, batch_format="pyarrow")
-           .groupby("coarse").map_groups(resolve, batch_format="pandas")
-           .groupby("dcoarse").map_groups(per_doc, batch_format="pandas"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({id_col: batch["_id"],
-                         "n_windows": batch["n_windows"],
-                         "n_dup_windows": batch["n_dup_windows"],
-                         "dup_ratio": batch["dup_ratio"]})
-
-    out = out.map_batches(rename, batch_format="pyarrow")
-    return nonempty_or_typed_table(out, {
-        id_col: pa.int64(), "n_windows": pa.int64(),
-        "n_dup_windows": pa.int64(), "dup_ratio": pa.float64()})
+    windows = ds.map_batches(
+        lambda b: _window_count_rows(b, id_col, text_col, k, side=0),
+        batch_format="pyarrow")
+    return _per_doc_ratio(windows, resolve, id_col,
+                          ["n_windows", "n_dup_windows", "dup_ratio"],
+                          n_coarse, n_coarse_docs or n_coarse)
 
 
 _OWNER_OFF_BASE = 100_000_000  # owner key = doc_id·BASE + offset (offsets ≪ BASE)
 
 
-def _span_removal_dedup(ds, explode, reassemble, out_schema: dict,
-                        id_col: str, text_col: str, ncd: int,
+def _span_removal_dedup(ds, explode, rebuild, out_schema: dict,
+                        id_col: str, text_col: str,
+                        n_coarse: "int | None", ncd: "int | None",
                         opname: str):
     """Shared spine of window_dedup (token windows) and exact_substr_dedup
-    (char windows): ``explode`` emits one (_id, off, h1, h2, coarse) row
-    per unit-window occurrence; every occurrence of a (h1, h2) value
-    co-locates in its coarse partition, where the owner resolves to the
-    min packed (doc_id, off) key and each NON-owner occurrence becomes a
-    removal row; removals rejoin the doc's text under the doc key (text
-    rides that exchange exactly once) and ``reassemble`` (pandas
-    per-dcoarse-group fn over off=-1 text rows + off≥0 removal rows)
-    rebuilds documents. ``out_schema`` is the final {col: arrow type}
-    mapping with ``id_col`` first; reassemble must emit ``_id`` plus the
-    non-id columns of out_schema."""
+    (char windows): ``explode`` emits one (_id, off, h1, h2) row per
+    unit-window occurrence; every occurrence of a (h1, h2) value
+    co-locates in one group, where the owner resolves to the min packed
+    (doc_id, off) key and each NON-owner occurrence becomes a removal row;
+    removals rejoin the doc's text under the doc key (text rides that
+    exchange exactly once) and ``rebuild(text, removal_offsets)`` returns
+    the non-id columns of ``out_schema`` (``{col: arrow type}`` with
+    ``id_col`` first) for one document."""
 
-    def removals(df: pd.DataFrame) -> pd.DataFrame:
-        ids_a = df["_id"].to_numpy(np.int64)
-        offs_a = df["off"].to_numpy(np.int64)
+    def removals(t: pa.Table) -> pa.Table:
+        ids_a = _np64(t["_id"])
+        offs_a = _np64(t["off"])
         # the packed owner key (doc_id·BASE + off) totally orders
         # (doc_id, off) ONLY while off < BASE and |doc_id| stays clear of
         # int64 overflow; a violation would silently misresolve owners
@@ -2216,48 +1897,55 @@ def _span_removal_dedup(ds, explode, reassemble, out_schema: dict,
                 f"|doc_id| < {(2**63 - 1) // _OWNER_OFF_BASE} "
                 f"(got max {int(np.abs(ids_a).max())})")
         okey = ids_a * _OWNER_OFF_BASE + offs_a
-        d = df.assign(okey=okey)
-        g = d.groupby(["h1", "h2"])["okey"]
-        cnt = g.transform("size").to_numpy()
-        owner = g.transform("min").to_numpy()
-        rem = d[(cnt >= 2) & (okey != owner)]
-        out = pd.DataFrame({"_id": rem["_id"], "off": rem["off"]})
-        out["dcoarse"] = (out["_id"] % ncd).astype(np.int32)
-        return out
+        t, starts, sizes = _runs(t.append_column("okey", pa.array(okey)),
+                                 ["h1", "h2", "okey"], ["h1", "h2"])
+        okey = _np64(t["okey"])
+        owner = np.repeat(okey[starts], sizes)
+        rem = t.filter(pa.array(np.repeat(sizes >= 2, sizes)
+                                & (okey != owner)))
+        return pa.table({"_id": rem["_id"], "off": rem["off"],
+                         "text": pa.nulls(rem.num_rows, pa.string())})
 
     def doc_rows(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
             "_id": pa.array(ids),
             "off": pa.array(np.full(len(ids), -1, np.int64)),  # text row
-            "text": pc.cast(pc.fill_null(batch[text_col], ""), pa.string()),
-            "dcoarse": pa.array((ids % ncd).astype(np.int32))})
+            "text": pc.cast(pc.fill_null(batch[text_col], ""), pa.string())})
 
-    def tag_removals(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "_id": batch["_id"], "off": batch["off"],
-            "text": pa.array([None] * n, pa.string()),
-            "dcoarse": batch["dcoarse"]})
+    names = list(out_schema)
 
-    rem = (ds.map_batches(explode, batch_format="pyarrow")
-           .groupby("coarse").map_groups(removals, batch_format="pandas")
-           .map_batches(tag_removals, batch_format="pyarrow"))
-    out = (ds.map_batches(doc_rows, batch_format="pyarrow")
-           .union(rem)
-           .groupby("dcoarse").map_groups(reassemble,
-                                          batch_format="pandas"))
+    def reassemble(t: pa.Table) -> pa.Table:
+        t, starts, sizes = _runs(t, ["_id", "off"], ["_id"])
+        ids = _np64(t["_id"])
+        offs = _np64(t["off"])
+        texts = t["text"].take(starts).to_pylist()
+        rows = []
+        for s, n, text in zip(starts, sizes, texts):
+            if offs[s] >= 0:         # removal rows for a doc outside ds —
+                continue             # impossible by construction; be total
+            o = offs[s:s + n]
+            rows.append((ids[s],) + tuple(rebuild(text or "", o[o >= 0])))
+        cols = list(zip(*rows)) or [[]] * len(names)
+        return pa.table({c: pa.array(v, out_schema[c])
+                         for c, v in zip(names, cols)})
 
-    payload = {c: t for c, t in out_schema.items() if c != id_col}
-
-    def rename(batch: pa.Table) -> pa.Table:
-        cols = {id_col: batch["_id"]}
-        for c, t in payload.items():
-            cols[c] = pc.cast(batch[c], t)
-        return pa.table(cols)
-
-    out = out.map_batches(rename, batch_format="pyarrow")
+    rem = keyed_stage(ds.map_batches(explode, batch_format="pyarrow"),
+                      ["h1", "h2"], removals,
+                      {"_id": pa.int64(), "off": pa.int64(),
+                       "text": pa.string()}, n_coarse)
+    out = keyed_stage(
+        ds.map_batches(doc_rows, batch_format="pyarrow").union(rem),
+        ["_id"], reassemble, out_schema, ncd)
     return nonempty_or_typed_table(out, out_schema)
+
+
+def _window_rows(wdoc, woff, h1, h2, ids) -> pa.Table:
+    """(_id, off, h1, h2) rows of the window occurrences of one batch."""
+    return pa.table({"_id": pa.array(ids[wdoc], pa.int64()),
+                     "off": pa.array(woff, pa.int64()),
+                     "h1": pa.array(h1.view(np.int64)),
+                     "h2": pa.array(h2.view(np.int64))})
 
 
 def window_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -2274,70 +1962,39 @@ def window_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     stream, so original whitespace is normalized; mirrored exactly in the
     SQL oracle).
 
-    Two bucketed shuffles, hash-only exchange (the _span_removal_dedup
-    spine, shared with exact_substr_dedup):
-      1. window-hash-keyed rows (doc, off, h1, h2) — within a coarse
-         partition every occurrence of a window value is present, so
-         occurrence count and owner resolve locally; only NON-owner
-         occurrences (the removal set, proportional to the dup rate)
-         leave the partition;
+    Two keyed exchanges, hash-only first (the _span_removal_dedup spine,
+    shared with exact_substr_dedup):
+      1. window-hash-keyed rows (doc, off, h1, h2) — within a group every
+         occurrence of a window value is present, so occurrence count and
+         owner resolve locally; only NON-owner occurrences (the removal
+         set, proportional to the dup rate) leave the group;
       2. doc-keyed: removal offsets rejoin the doc's token list (text
          rides this exchange once, like line_dedup); coverage is a
          vectorized diff-array cumsum per doc.
     Returns (doc_id, clean_text, n_removed_tokens, n_tokens).
     """
-    nc = n_coarse or N_COARSE
-    ncd = n_coarse_docs or nc
-
     def explode(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
         toks = [(t or "").split() for t in texts]
-        wdoc, woff, h1, h2 = _window_hashes(toks, k)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(wdoc) == 0:
-            return pa.table({"_id": pa.array([], pa.int64()),
-                             "off": pa.array([], pa.int64()),
-                             "h1": pa.array([], pa.int64()),
-                             "h2": pa.array([], pa.int64()),
-                             "coarse": pa.array([], pa.int32())})
-        coarse = (h1 % np.uint64(nc)).astype(np.int32)
-        return pa.table({"_id": pa.array(ids[wdoc]),
-                         "off": pa.array(woff),
-                         "h1": pa.array(h1.view(np.int64)),
-                         "h2": pa.array(h2.view(np.int64)),
-                         "coarse": pa.array(coarse)})
+        return _window_rows(*_window_hashes(toks, k), ids)
 
-    def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        out_id, out_txt, out_rm, out_nt = [], [], [], []
-        for did, grp in df.groupby("_id", sort=True):
-            trow = grp[grp["off"] < 0]
-            if not len(trow):        # removal rows for a doc outside ds —
-                continue             # impossible by construction; be total
-            toks = (trow["text"].iloc[0] or "").split()
-            n = len(toks)
-            offs = grp.loc[grp["off"] >= 0, "off"] \
-                .to_numpy(np.int64)
-            cover = np.zeros(n + 1, np.int64)
-            if len(offs):
-                np.add.at(cover, offs, 1)
-                np.add.at(cover, np.minimum(offs + k, n), -1)
-            covered = np.cumsum(cover[:-1]) > 0
-            kept = [t for t, c in zip(toks, covered) if not c]
-            out_id.append(did)
-            out_txt.append(" ".join(kept))
-            out_rm.append(int(covered.sum()))
-            out_nt.append(n)
-        return pd.DataFrame({
-            "_id": pd.array(out_id, "int64"),
-            "clean_text": pd.array(out_txt, "string"),
-            "n_removed_tokens": pd.array(out_rm, "int64"),
-            "n_tokens": pd.array(out_nt, "int64")})
+    def rebuild(text: str, offs: np.ndarray):
+        toks = text.split()
+        n = len(toks)
+        cover = np.zeros(n + 1, np.int64)
+        np.add.at(cover, offs, 1)
+        np.add.at(cover, np.minimum(offs + k, n), -1)
+        covered = np.cumsum(cover[:-1]) > 0
+        kept = [t for t, c in zip(toks, covered) if not c]
+        return " ".join(kept), int(covered.sum()), n
 
     return _span_removal_dedup(
-        ds, explode, reassemble,
+        ds, explode, rebuild,
         {id_col: pa.int64(), "clean_text": pa.string(),
          "n_removed_tokens": pa.int64(), "n_tokens": pa.int64()},
-        id_col, text_col, ncd, "window_dedup")
+        id_col, text_col, n_coarse, n_coarse_docs or n_coarse,
+        "window_dedup")
 
 
 EXACT_SUBSTR_L = 50   # Lee et al. duplicate-span threshold, in characters
@@ -2359,79 +2016,48 @@ def exact_substr_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     keep the lexicographically first occurrence (min (doc_id, offset))
     and remove every other occurrence, within-doc repeats included.
 
-    Two bucketed shuffles — the _span_removal_dedup spine (shared with
+    Two keyed exchanges — the _span_removal_dedup spine (shared with
     window_dedup) at char granularity:
       1. window-hash-keyed (doc, off, h1, h2) rows — one per char
-         position, 36 B each; hashes are 128-bit rolling polynomials over
+         position, 32 B each; hashes are 128-bit rolling polynomials over
          raw codepoints (_rolling_hashes), so the exchange never carries
          text. Cost is ∝ total corpus characters — the price of exact
          substring semantics in a distributed setting (the paper's suffix
          array is single-node and needs the corpus in RAM; a Bloom
          prefilter pass could drop the ~unique majority of windows before
-         the shuffle and is the documented 100-TB refinement).
+         the exchange and is the documented 100-TB refinement).
       2. doc-keyed: non-owner offsets rejoin the doc text (text moves
          once); coverage is a diff-array cumsum over chars; kept
          codepoints reassemble via a numpy mask on the utf-32 view.
 
     Returns (doc_id, clean_text, n_removed_chars, n_chars) for EVERY
     input doc (empty docs pass through with 0/0)."""
-    nc = n_coarse or N_COARSE
-    ncd = n_coarse_docs or nc
-
     def explode(batch: pa.Table) -> pa.Table:
         texts = [t or "" for t in batch[text_col].to_pylist()]
         lens = np.fromiter((len(t) for t in texts), np.int64, len(texts))
         cps = np.frombuffer("".join(texts).encode("utf-32-le"),
                             np.uint32).astype(np.uint64) + 1
-        wdoc, woff, h1, h2 = _rolling_hashes(cps, lens, min_len)
-        if len(wdoc) == 0:
-            return pa.table({"_id": pa.array([], pa.int64()),
-                             "off": pa.array([], pa.int64()),
-                             "h1": pa.array([], pa.int64()),
-                             "h2": pa.array([], pa.int64()),
-                             "coarse": pa.array([], pa.int32())})
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        coarse = (h1 % np.uint64(nc)).astype(np.int32)
-        return pa.table({"_id": pa.array(ids[wdoc]),
-                         "off": pa.array(woff),
-                         "h1": pa.array(h1.view(np.int64)),
-                         "h2": pa.array(h2.view(np.int64)),
-                         "coarse": pa.array(coarse)})
+        return _window_rows(*_rolling_hashes(cps, lens, min_len), ids)
 
-    def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        out_id, out_txt, out_rm, out_nc = [], [], [], []
-        for did, grp in df.groupby("_id", sort=True):
-            trow = grp[grp["off"] < 0]
-            if not len(trow):        # removal rows for a doc outside ds —
-                continue             # impossible by construction; be total
-            text = trow["text"].iloc[0] or ""
-            n = len(text)
-            offs = grp.loc[grp["off"] >= 0, "off"].to_numpy(np.int64)
-            if len(offs):
-                cover = np.zeros(n + 1, np.int64)
-                np.add.at(cover, offs, 1)
-                np.add.at(cover, np.minimum(offs + min_len, n), -1)
-                covered = np.cumsum(cover[:-1]) > 0
-                cps = np.frombuffer(text.encode("utf-32-le"), np.uint32)
-                clean = cps[~covered].tobytes().decode("utf-32-le")
-                n_rm = int(covered.sum())
-            else:
-                clean, n_rm = text, 0
-            out_id.append(did)
-            out_txt.append(clean)
-            out_rm.append(n_rm)
-            out_nc.append(n)
-        return pd.DataFrame({
-            "_id": pd.array(out_id, "int64"),
-            "clean_text": pd.array(out_txt, "string"),
-            "n_removed_chars": pd.array(out_rm, "int64"),
-            "n_chars": pd.array(out_nc, "int64")})
+    def rebuild(text: str, offs: np.ndarray):
+        n = len(text)
+        if not len(offs):
+            return text, 0, n
+        cover = np.zeros(n + 1, np.int64)
+        np.add.at(cover, offs, 1)
+        np.add.at(cover, np.minimum(offs + min_len, n), -1)
+        covered = np.cumsum(cover[:-1]) > 0
+        cps = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+        return (cps[~covered].tobytes().decode("utf-32-le"),
+                int(covered.sum()), n)
 
     return _span_removal_dedup(
-        ds, explode, reassemble,
+        ds, explode, rebuild,
         {id_col: pa.int64(), "clean_text": pa.string(),
          "n_removed_chars": pa.int64(), "n_chars": pa.int64()},
-        id_col, text_col, ncd, "exact_substr_dedup")
+        id_col, text_col, n_coarse, n_coarse_docs or n_coarse,
+        "exact_substr_dedup")
 
 
 def cross_window_overlap(docs_ds, ref_ds, id_col: str = "doc_id",
@@ -2444,63 +2070,32 @@ def cross_window_overlap(docs_ds, ref_ds, id_col: str = "doc_id",
     windows also occur ANYWHERE in a reference corpus — the cross-dataset
     form of eval decontamination (Brown et al. GPT-3 App. C measure
     overlap of training docs against benchmarks at 13-gram granularity;
-    here either side can be 100 TB). Same two-bucketed-shuffle shape as
+    here either side can be 100 TB). Same two-keyed-exchange shape as
     dup_window_stats: window hashes only (never text) cross the first
     exchange; the reference side pre-collapses to DISTINCT hashes per
     batch (combiner) so a massive reference costs its distinct-window
     count, not its token count. Returns (doc_id, n_windows,
     n_overlap_windows, overlap_ratio) for docs with ≥1 window."""
-    nc = n_coarse or N_COARSE
-    ncd = n_coarse_docs or nc
+    def resolve(t: pa.Table) -> pa.Table:
+        t, starts, sizes = _runs(t, ["h1", "h2"], ["h1", "h2"])
+        side = _np(t["side"])
+        hit = np.repeat(np.maximum.reduceat(side, starts) == 1, sizes)
+        doc = side == 0
+        return _doc_partials(_np64(t["_id"])[doc], _np64(t["cnt"])[doc],
+                             hit[doc])
 
-    def explode_docs(batch: pa.Table) -> pa.Table:
-        return _window_count_rows(batch, id_col, text_col, k, nc, side=0)
-
-    def explode_ref(batch: pa.Table) -> pa.Table:
-        # reference side: DISTINCT hashes only (membership, not counts);
-        # an explicit side tag — NOT an id sentinel — separates the
-        # streams, so negative doc ids on the docs side stay valid
-        return _window_count_rows(batch, None, ref_text_col, k, nc,
-                                  side=1)
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        ref = df[df["side"] == 1][["h1", "h2"]].drop_duplicates()
-        doc = df[df["side"] == 0]
-        hit = doc.merge(ref.assign(_in=True), on=["h1", "h2"], how="left")
-        cnt = hit["cnt"].to_numpy()
-        out = pd.DataFrame({
-            "_id": hit["_id"].to_numpy(),
-            "n_part": cnt,
-            "n_hit_part": np.where(hit["_in"].notna(), cnt, 0)})
-        out = out.groupby("_id", as_index=False).sum()
-        out["dcoarse"] = (out["_id"] % ncd).astype(np.int32)
-        return out
-
-    def per_doc(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("_id", as_index=False)[["n_part", "n_hit_part"]] \
-            .sum()
-        return pd.DataFrame({
-            "_id": g["_id"].astype("int64"),
-            "n_windows": g["n_part"].astype("int64"),
-            "n_overlap_windows": g["n_hit_part"].astype("int64"),
-            "overlap_ratio": g["n_hit_part"].to_numpy(np.float64)
-                             / g["n_part"].to_numpy(np.float64)})
-
-    out = (docs_ds.map_batches(explode_docs, batch_format="pyarrow")
-           .union(ref_ds.map_batches(explode_ref, batch_format="pyarrow"))
-           .groupby("coarse").map_groups(resolve, batch_format="pandas")
-           .groupby("dcoarse").map_groups(per_doc, batch_format="pandas"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({id_col: batch["_id"],
-                         "n_windows": batch["n_windows"],
-                         "n_overlap_windows": batch["n_overlap_windows"],
-                         "overlap_ratio": batch["overlap_ratio"]})
-
-    out = out.map_batches(rename, batch_format="pyarrow")
-    return nonempty_or_typed_table(out, {
-        id_col: pa.int64(), "n_windows": pa.int64(),
-        "n_overlap_windows": pa.int64(), "overlap_ratio": pa.float64()})
+    # reference side: DISTINCT hashes only (membership, not counts); an
+    # explicit side tag — NOT an id sentinel — separates the streams, so
+    # negative doc ids on the docs side stay valid
+    windows = docs_ds.map_batches(
+        lambda b: _window_count_rows(b, id_col, text_col, k, side=0),
+        batch_format="pyarrow").union(ref_ds.map_batches(
+            lambda b: _window_count_rows(b, None, ref_text_col, k, side=1),
+            batch_format="pyarrow"))
+    return _per_doc_ratio(windows, resolve, id_col,
+                          ["n_windows", "n_overlap_windows",
+                           "overlap_ratio"],
+                          n_coarse, n_coarse_docs or n_coarse)
 
 
 # ------------------------------------------- content-defined chunking (CDC)
@@ -2579,42 +2174,25 @@ def cdc_chunk_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     storage-dedup ratio view of a corpus (and the primitive behind
     incremental-crawl chunk stores).
 
-    One coarse digest-prefix exchange (the exact_dedup shuffle shape) —
-    chunk TEXT never moves, only 16-byte-hash-keyed stat rows; owners
-    resolve vectorized inside each coarse partition."""
+    One keyed exchange on the chunk hash (the exact_dedup shape) — chunk
+    TEXT never moves, only 16-byte-hash-keyed stat rows; owners resolve
+    vectorized inside each coarse group."""
     chunks = ds.map_batches(
         lambda b: cdc_chunk_rows(b, id_col, text_col, window, divisor),
         batch_format="pyarrow")
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        coarse = str_hash.crc32_of_strings(batch["chunk_hash"]) % n_coarse
-        return batch.append_column(
-            "coarse", pa.array(coarse.astype(np.int32), pa.int32()))
+    def owners(t: pa.Table) -> pa.Table:
+        t, starts, sizes = _runs(t, ["chunk_hash", id_col, "chunk_idx"],
+                                 ["chunk_hash"])
+        ids, cidx = _np64(t[id_col]), _np64(t["chunk_idx"])
+        od = np.repeat(ids[starts], sizes)
+        oc = np.repeat(cidx[starts], sizes)
+        return t.append_column("owner_doc_id", pa.array(od)) \
+            .append_column("owner_chunk_idx", pa.array(oc)) \
+            .append_column("is_dup", pa.array((od != ids) | (oc != cidx)))
 
-    def owners(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values(["chunk_hash", id_col, "chunk_idx"],
-                           kind="mergesort").reset_index(drop=True)
-        h = d["chunk_hash"].to_numpy()
-        new = np.ones(len(d), bool)
-        if len(d) > 1:
-            new[1:] = h[1:] != h[:-1]
-        sizes = np.diff(np.append(np.nonzero(new)[0], len(d)))
-        od = np.repeat(d[id_col].to_numpy()[new], sizes)
-        oc = np.repeat(d["chunk_idx"].to_numpy()[new], sizes)
-        mine = (od == d[id_col].to_numpy()) & \
-               (oc == d["chunk_idx"].to_numpy())
-        return pd.DataFrame({
-            id_col: d[id_col], "chunk_idx": d["chunk_idx"],
-            "n_chunk_words": d["n_chunk_words"],
-            "chunk_hash": d["chunk_hash"],
-            "owner_doc_id": pd.array(od, "int64"),
-            "owner_chunk_idx": pd.array(oc, "int64"),
-            "is_dup": ~mine})
-
-    out = (chunks.map_batches(add_coarse, batch_format="pyarrow")
-           .groupby("coarse").map_groups(owners, batch_format="pandas"))
-    return _typed_empty_union(out, {
+    return keyed_exchange(chunks, ["chunk_hash"], owners, {
         id_col: pa.int64(), "chunk_idx": pa.int64(),
         "n_chunk_words": pa.int64(), "chunk_hash": pa.string(),
         "owner_doc_id": pa.int64(), "owner_chunk_idx": pa.int64(),
-        "is_dup": pa.bool_()})
+        "is_dup": pa.bool_()}, n_coarse)

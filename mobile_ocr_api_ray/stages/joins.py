@@ -1,12 +1,11 @@
 """Distributed hash join as a first-class Dataset operator.
 
-Ray Data 2.49 has no general join; the engine's pattern (used by
-dup_clusters' label relabeling, the two-pass MinHash signature joins and
-verify_pairs_ngram's text stamping — see stages/dedup.py) is factored here
-as a public operator:
+Ray Data 2.49 has no general join. This operator rides the engine's one
+keyed exchange (stages/exchange.keyed_exchange, which the dedup operators
+in stages/dedup.py use too):
 
-    tagged union of both sides  →  groupby(hash(key) % n_coarse)  →
-    pure-arrow merge inside each partition (numpy searchsorted key match +
+    tagged union of both sides  →  keyed exchange on the int64 match key
+    →  pure-arrow merge inside each group (numpy searchsorted key match +
     arrow take — works for any payload type, including list columns that
     acero joins reject, and never round-trips through pandas dtypes)
 
@@ -17,10 +16,10 @@ map_batches — see pipelines/relational.py:top_customers); this operator is
 the both-sides-large path.
 
 Column handling: output = left columns + right columns (minus the right
-key). Name collisions raise. Keys may be integer (partition hash is
-``key % n_coarse``) or string (crc32 partition routing + exact string
-equality verification inside the merge — see hash_join docstring); a
-``salt`` option spreads hot keys across partitions with identical output.
+key). Name collisions raise. Keys may be integer (the match key is the
+value) or string (the match key is crc32(key), with exact string equality
+verification inside the merge — see hash_join docstring); a ``salt``
+option spreads hot keys across groups with identical output.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-N_COARSE_DEFAULT = 256
+from .exchange import keyed_exchange
 
 
 def hash_join(left, right, left_key: str, right_key: str,
@@ -55,14 +54,10 @@ def hash_join(left, right, left_key: str, right_key: str,
     partitions. Cost: ``salt`` × the right side's shuffle volume — salt the
     join whose right side is the smaller table. Keys must satisfy
     |key| * salt < 2^63 (int64 fold)."""
-    import ray.data  # noqa: F401  (Dataset ops)
-
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported join type: {how}")
     if salt < 1:
         raise ValueError("salt must be >= 1")
-    nc = n_coarse or N_COARSE_DEFAULT
-
     left_schema = left.schema()
     right_schema = right.schema()
     left_cols = list(left_schema.names)
@@ -118,8 +113,7 @@ def hash_join(left, right, left_key: str, right_key: str,
             # of one hot key spread over `salt` distinct partition keys
             key = key * salt + (np.arange(n, dtype=np.int64) % salt)
         cols = {"__kind": pa.array(np.zeros(n, np.int8)),
-                "__key": pa.array(key),
-                "__coarse": pa.array((key % nc).astype(np.int32))}
+                "__key": pa.array(key)}
         for c in left_cols:
             cols[c] = batch[c]
         for c in right_cols:
@@ -142,8 +136,7 @@ def hash_join(left, right, left_key: str, right_key: str,
             key = key[idx] * salt + np.tile(np.arange(salt, dtype=np.int64), n)
             n = tbl.num_rows
         cols = {"__kind": pa.array(np.ones(n, np.int8)),
-                "__key": pa.array(key),
-                "__coarse": pa.array((key % nc).astype(np.int32))}
+                "__key": pa.array(key)}
         for c in left_cols:
             cols[c] = _pad(n, left_schema.types[left_schema.names.index(c)])
         for c in right_cols:
@@ -226,17 +219,7 @@ def hash_join(left, right, left_key: str, right_key: str,
 
     tagged = (left.map_batches(tag_left, batch_format="pyarrow")
               .union(right.map_batches(tag_right, batch_format="pyarrow")))
-    joined = tagged.groupby("__coarse").map_groups(
-        merge_partition, batch_format="pyarrow")
-
-    # typed-empty union: keep the output schema even when every partition
-    # is empty (the map_groups schema-erosion trap, see dedup.py)
-    empty_cols = {}
-    for c in left_cols:
-        empty_cols[c] = pa.array(
-            [], left_schema.types[left_schema.names.index(c)])
-    for c in right_cols:
-        if c != "__rkeystr":  # internal verification column, never emitted
-            empty_cols[c] = pa.array([], right_types[c])
-    import ray.data as rd
-    return rd.from_arrow(pa.table(empty_cols)).union(joined)
+    out_schema = {c: expected_types[c] for c in out_cols
+                  if c != "__rkeystr"}
+    return keyed_exchange(tagged, ["__key"], merge_partition, out_schema,
+                          n_coarse)

@@ -41,7 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .crawl import host_of
-from .dedup import N_COARSE, nonempty_or_typed_table
+from .exchange import N_COARSE, nonempty_or_typed_table
 from .html_extract import _DROP_ELEMENTS, _visible_text
 
 _ANCHOR_HREF = re.compile(

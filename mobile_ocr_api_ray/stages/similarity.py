@@ -622,7 +622,7 @@ def knn_graph_lsh(ds, k: int = 5, n_tables: int = KNN_LSH_TABLES,
         d["rank"] = np.arange(1, len(d) + 1, dtype=np.int64)
         return d[["vec_id", "rank", "nbr_id", "cosine"]]
 
-    from .dedup import nonempty_or_typed_table
+    from .exchange import nonempty_or_typed_table
     out = (ds.map_batches(bucketize, batch_format="pyarrow",
                           batch_size=4096)
            .groupby("tb").map_groups(bucket_topk, batch_format="pandas")
@@ -1013,7 +1013,7 @@ def semdedup_kept(ds, k: int = 8, tau: float = SEMDEDUP_TAU,
                          "is_dup": pa.array([1] * batch.num_rows,
                                             pa.int8())})
 
-    from ..stages.dedup import nonempty_or_typed_table
+    from ..stages.exchange import nonempty_or_typed_table
     drops = nonempty_or_typed_table(
         drops.map_batches(drop_rows, batch_format="pyarrow"),
         {"vid": pa.int64(), "is_dup": pa.int8()}).materialize()

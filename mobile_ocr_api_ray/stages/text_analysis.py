@@ -262,7 +262,7 @@ def tfidf_top_terms(ds, n_docs: int, id_col: str = "doc_id",
         g = g[g["rank"] <= k]
         return g[[id_col, "rank", "word", "tf", "df", "tfidf"]]
 
-    from .dedup import _typed_empty_union
+    from .exchange import _typed_empty_union
 
     out = (joined.map_batches(add_coarse, batch_format="pyarrow")
            .groupby("coarse").map_groups(topk, batch_format="pandas"))
@@ -342,7 +342,7 @@ def pack_sequences(ds, budget: int = SEQ_BUDGET, id_col: str = "doc_id",
             "offset_in_seq": start % budget,
             "spans_boundary": (n > 0) & ((last // budget) != seq)})
 
-    from .dedup import nonempty_or_typed_table
+    from .exchange import nonempty_or_typed_table
 
     out = counts.groupby("rkey").map_groups(assign, batch_format="pandas")
     return nonempty_or_typed_table(out, out_schema)
@@ -406,7 +406,7 @@ def global_shuffle_order(ds, id_col: str = "doc_id", seed: str = "s0",
             "shuffle_rank": rank,
             "shard": rank % n_shards})
 
-    from .dedup import nonempty_or_typed_table
+    from .exchange import nonempty_or_typed_table
 
     out = proj.groupby("bucket").map_groups(assign, batch_format="pandas")
     return nonempty_or_typed_table(out, out_schema)
@@ -462,7 +462,7 @@ def global_value_rank(ds, value_col: str, id_col: str = "doc_id",
             "rank_idx": rank,
             "percentile_micro": rank * 1_000_000 // n})
 
-    from .dedup import nonempty_or_typed_table
+    from .exchange import nonempty_or_typed_table
 
     out = proj.groupby("bucket").map_groups(assign, batch_format="pandas")
     return nonempty_or_typed_table(out, out_schema)
@@ -906,7 +906,8 @@ def gram_novelty(ds, id_col: str = "doc_id", text_col: str = "text",
     import ray.data
     from ray.data.aggregate import Count, Min, Sum
 
-    from .dedup import _typed_empty_union, ngram_set
+    from .dedup import ngram_set
+    from .exchange import _typed_empty_union
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)

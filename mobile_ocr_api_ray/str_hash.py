@@ -2,8 +2,8 @@
 UTF-8 bytes, computed over Arrow buffer slices — no per-row Python string
 materialization.
 
-Every bucketed exchange in the engine (stages/joins, stages/crawl,
-stages/linkgraph, stages/dedup, pipelines/analysis) routes string keys by
+Every bucketed exchange in the engine (stages/exchange, stages/crawl,
+stages/linkgraph, pipelines/analysis) routes string keys by
 ``crc32(key) % n_coarse``. The reference form — ``np.fromiter(
 (zlib.crc32(s.encode()) for s in col.to_pylist()), ...)`` — spends most
 of its time materializing Python str objects and re-encoding them back to
@@ -28,15 +28,17 @@ import pyarrow as pa
 
 
 def crc32_of_strings(values, null_value: int = 0) -> np.ndarray:
-    """int64 array of ``zlib.crc32(s.encode())`` per element; nulls →
-    ``null_value``. Accepts pa.Array / pa.ChunkedArray / pandas Series /
-    list / numpy object array. ``null_value=0`` reproduces the pervasive
+    """int64 array of ``zlib.crc32(s.encode())`` per element (of the raw
+    bytes for a binary array); nulls → ``null_value``. Accepts pa.Array /
+    pa.ChunkedArray / pandas Series / list / numpy object array. ``null_value=0`` reproduces the pervasive
     ``(s or '')`` convention (crc32(b'') == 0); joins use ``-1``."""
     if isinstance(values, pa.ChunkedArray):
         values = values.combine_chunks()
     if not isinstance(values, pa.Array):
         values = pa.array(values, type=pa.string(), from_pandas=True)
-    arr = values.cast(pa.large_string())
+    binary = pa.types.is_binary(values.type) \
+        or pa.types.is_large_binary(values.type)
+    arr = values.cast(pa.large_binary() if binary else pa.large_string())
     n = len(arr)
     if n == 0:
         return np.empty(0, np.int64)

@@ -484,14 +484,14 @@ class TestSetOps:
 
     def test_empty_guard_keeps_schema(self, ray_session):
         import ray.data as rd
-        from mobile_ocr_api_ray.pipelines.analytics import \
-            _nonempty_or_typed_table
+        from mobile_ocr_api_ray.stages.exchange import \
+            nonempty_or_typed_table
         src = rd.from_arrow(pa.table({"user_id": pa.array([1, 2], pa.int64())}))
         empty = src.filter(lambda r: False).sort("user_id")
-        out = _nonempty_or_typed_table(empty, {"user_id": pa.int64()})
+        out = nonempty_or_typed_table(empty, {"user_id": pa.int64()})
         assert isinstance(out, pa.Table)
         assert out.schema == pa.schema({"user_id": pa.int64()})
-        nonempty = _nonempty_or_typed_table(src, {"user_id": pa.int64()})
+        nonempty = nonempty_or_typed_table(src, {"user_id": pa.int64()})
         assert hasattr(nonempty, "to_pandas") and nonempty.count() == 2
 
 

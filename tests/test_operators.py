@@ -539,22 +539,6 @@ class TestOperatorInvariance:
         self._cmp(lambda d: dedup.minhash_dedup_pairs(d, threshold=0.8),
                   docs_ds, ["id_a", "id_b"])
 
-    def test_minhash_two_pass_invariant(self, ray_session, docs_ds):
-        self._cmp(lambda d: dedup.minhash_dedup_pairs(d, threshold=0.8,
-                                                      two_pass=True),
-                  docs_ds, ["id_a", "id_b"])
-
-    def test_minhash_two_pass_equals_one_pass(self, ray_session, docs_ds):
-        """The lean two-pass (bands-only shuffle + signature re-join) path
-        must emit exactly the one-pass pair set — est is a pure function of
-        the two full signatures."""
-        a = (dedup.minhash_dedup_pairs(docs_ds, threshold=0.8).to_pandas()
-             .sort_values(["id_a", "id_b"]).reset_index(drop=True))
-        b = (dedup.minhash_dedup_pairs(docs_ds, threshold=0.8, two_pass=True)
-             .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
-        assert len(a) > 0
-        pd.testing.assert_frame_equal(a, b)
-
     def test_simhash_pairs_invariant(self, ray_session, docs_ds):
         self._cmp(lambda d: dedup.simhash_near_pairs(d, max_hamming=3),
                   docs_ds, ["id_a", "id_b"])
@@ -1248,20 +1232,6 @@ class TestPackSequences:
             not isinstance(out, pa.Table) else out.column_names
         assert names == ["doc_id", "n_tokens", "start_offset", "seq_id",
                          "offset_in_seq", "spans_boundary"]
-
-
-def test_minhash_two_pass_empty(ray_session):
-    """Duplicate-free corpus through the two-pass path keeps the typed pair
-    schema at the Dataset level (the all-empty to_pandas() column drop is a
-    known Ray artifact; Dataset.schema() is the contract)."""
-    import ray.data
-    docs = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(range(30), pa.int64()),
-        "text": pa.array([f"unique document {i} words {i*7} {i*13}"
-                          for i in range(30)], pa.string())}))
-    out = dedup.minhash_dedup_pairs(docs, threshold=0.7, two_pass=True)
-    assert out.count() == 0
-    assert out.schema().names == ["id_a", "id_b", "est_jaccard"]
 
 
 class TestLevenshteinVerify:
