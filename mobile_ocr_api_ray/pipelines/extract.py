@@ -54,7 +54,9 @@ def summarize_batch(batch: pa.Table) -> pa.Table:
             summaries.append(None)
             ratios.append(None)
             continue
-        if len(text.split()) < SUMMARY_MIN_WORDS:
+        # = len(text.split()) < SUMMARY_MIN_WORDS, without splitting past
+        # the word that decides it
+        if len(text.split(None, SUMMARY_MIN_WORDS)) < SUMMARY_MIN_WORDS:
             s = text
         else:
             s = summarize(text, SUMMARY_RATIO, SUMMARY_MAX_SENTENCES)

@@ -244,8 +244,10 @@ class ExtractorActor:
         lang = lang or "eng"
         key = None
         if self.lru_size:
+            # sha256, not blake2b: with the SHA extensions of current x86
+            # and ARM CPUs it hashes a multi-MB payload in about half the time
             key = (kind, lang, config or "",
-                   hashlib.blake2b(payload, digest_size=16).digest())
+                   hashlib.sha256(payload).digest())
             hit = self._lru.get(key)
             if hit is not None:
                 self._lru.move_to_end(key)

@@ -27,9 +27,10 @@ the sandbox — SURVEY.md §7):
   glyphs (app.py:586-593 mean-word-confidence + 80.0 fallback). A page is
   recognized in one pass: layout lays out the character grid of every
   line band, then the page's cells are grouped by shape and each group is
-  scored against all templates with one float64 matmul over unpacked bits,
-  ``2·a·t − |a| − |t|`` = −hamming. Every partial sum is an integer of at
-  most 2^32 (u16 IMGX sides), below 2^53, so the scores are exact.
+  scored against all templates with float32 matmuls over unpacked bits,
+  ``2·a·t − |a| − |t|`` = −hamming, one per slice of ``_MATMUL_BITS`` bits
+  and summed in float64. A slice's dot product is an integer of at most
+  2^14 < 2^24 and the total at most 2^32 < 2^53, so the scores are exact.
 
 All pure numpy, module-level state (font stack) built once per worker.
 """
@@ -55,50 +56,63 @@ def optimize_image(img: np.ndarray, max_dim: int) -> np.ndarray:
         new_w = int(w * (max_dim / h))
     ys = (np.arange(new_h) * h // new_h).astype(np.int64)
     xs = (np.arange(new_w) * w // new_w).astype(np.int64)
-    return img[np.ix_(ys, xs)]
+    return img.take(ys, 0).take(xs, 1)  # = img[np.ix_(ys, xs)], ~4x faster
 
 
 # ------------------------------------------------------------- M2 binarizers
-
-def _pad1_reflect_u16(img: np.ndarray) -> np.ndarray:
-    """1-px reflect pad into a uint16 buffer — identical values to
-    ``np.pad(img, 1, mode='reflect').astype(np.uint16)`` but without the
-    generic arraypad wrapper, which costs more than the copy itself on the
-    small per-band arrays this runs on (~15% of kernel CPU, profiled)."""
-    h, w = img.shape
-    if h < 2 or w < 2:
-        return np.pad(img, 1, mode="reflect").astype(np.uint16)
-    p = np.empty((h + 2, w + 2), dtype=np.uint16)
-    p[1:-1, 1:-1] = img
-    p[0, 1:-1] = img[1]
-    p[-1, 1:-1] = img[-2]
-    p[:, 0] = p[:, 2]
-    p[:, -1] = p[:, -3]
-    return p
-
 
 def _gaussian_blur3(img: np.ndarray) -> np.ndarray:
     """Separable 3x3 Gaussian ([1,2,1]/4 each axis), reflect borders,
     rounded back to uint8 — integer arithmetic throughout (cv2's
     GaussianBlur likewise produces uint8; float64 passes here saturate
-    memory bandwidth at high process counts and kill scaling)."""
-    p = _pad1_reflect_u16(img)
-    horiz = p[1:-1, :-2] + 2 * p[1:-1, 1:-1] + p[1:-1, 2:]          # <= 1020
-    h = horiz.shape[0]
-    if h < 2:
-        p2 = np.pad(horiz, ((1, 1), (0, 0)), mode="reflect")
-    else:
-        p2 = np.empty((h + 2, horiz.shape[1]), dtype=np.uint16)
-        p2[1:-1] = horiz
-        p2[0] = horiz[1]
-        p2[-1] = horiz[-2]
-    total = p2[:-2] + 2 * p2[1:-1] + p2[2:]                          # <= 4080
-    return ((total + 8) >> 4).astype(np.uint8)                       # /16 rounded
+    memory bandwidth at high process counts and kill scaling). Each axis is
+    [1,1] applied twice: two uint16 adds of shifted views, with no 2-D pad
+    and no temporary per kernel term."""
+    h, w = img.shape
+    p = np.empty((h, w + 2), dtype=np.uint16)      # 1-px reflect pad along x
+    p[:, 1:-1] = img
+    p[:, 0] = img[:, 1] if w > 1 else img[:, 0]     # a 1-px axis reflects to itself
+    p[:, -1] = img[:, -2] if w > 1 else img[:, 0]
+    pairs = p[:, :-1] + p[:, 1:]
+    v = np.empty((h + 2, w), dtype=np.uint16)      # same pad along y
+    np.add(pairs[:, :-1], pairs[:, 1:], out=v[1:-1])                 # <= 1020
+    v[0] = v[2] if h > 1 else v[1]
+    v[-1] = v[-3] if h > 1 else v[1]
+    pairs = v[:-1] + v[1:]
+    total = pairs[:-1]
+    total += pairs[1:]                                                # <= 4080
+    total += 8
+    total >>= 4                                                       # /16 rounded
+    return total.astype(np.uint8)
+
+
+# From about this many pixels up, _histogram counts pixel pairs: below it,
+# zeroing and folding the 65,536-bin table costs more than it saves (a
+# 1200-wide text band has ~67k pixels, a page over a million).
+_PAIR_HISTOGRAM_MIN = 1 << 17
+
+
+def _histogram(img: np.ndarray) -> np.ndarray:
+    """256-bin int64 histogram of a uint8 image, = ``np.bincount(img.ravel(),
+    minlength=256)``. A large image is bincounted as uint16 PAIRS of pixels
+    (65,536 bins, half as many elements to widen to intp), and that table
+    is folded by row and by column sums, which counts both bytes of each
+    pair whatever the byte order; an odd last pixel is added on its own."""
+    flat = img.ravel()
+    if flat.size < _PAIR_HISTOGRAM_MIN:
+        return np.bincount(flat, minlength=256)
+    even = flat.size & ~1
+    pairs = np.bincount(flat[:even].view(np.uint16),
+                        minlength=1 << 16).reshape(256, 256)
+    hist = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if even < flat.size:
+        hist[flat[-1]] += 1
+    return hist
 
 
 def _otsu_threshold(img: np.ndarray) -> float:
-    """Otsu threshold of a uint8 image."""
-    hist = np.bincount(img.ravel(), minlength=256).astype(np.float64)
+    """Otsu threshold of a uint8 image (histogram from _histogram)."""
+    hist = _histogram(img).astype(np.float64)
     total = hist.sum()
     if total == 0:
         return 127.0
@@ -113,27 +127,49 @@ def _otsu_threshold(img: np.ndarray) -> float:
     return float(np.nanargmax(sigma_b))
 
 
+def _window_sums(a: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Sums of k consecutive entries of ``a`` along ``axis`` (n → n - k + 1
+    entries), in a's dtype. Built from power-of-two windows: width 2w is
+    one add of two shifted width-w views, and the width-w windows picked by
+    the bits of k, laid end to end, make up the width-k window. That is a
+    few full-array adds instead of a running-sum pass, ~20x slower per
+    element in numpy than an add."""
+    out_len = a.shape[axis] - k + 1
+
+    def cut(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return x[start:stop] if axis == 0 else x[:, start:stop]
+
+    total, off, width, win = None, 0, 1, a
+    while True:
+        if k & width:
+            part = cut(win, off, off + out_len)
+            total = part.copy() if total is None else np.add(total, part, out=total)
+            off += width
+        if 2 * width > k:
+            return total
+        n = win.shape[axis]
+        win = cut(win, 0, n - width) + cut(win, width, n)
+        width *= 2
+
+
 def _box_sum(img: np.ndarray, k: int) -> np.ndarray:
-    """k x k local SUM of a uint8 image, edge-replicated borders, as two
-    separable int32 running sums (down the columns, then along the rows) —
-    integer-exact (mean comparisons are done cross-multiplied by k*k). The
-    largest running sum, (w + k) * k * 255, fits int32 for any u16 width."""
+    """k x k local SUM of a uint8 image, edge-replicated borders, in
+    uint16: column-wise k-row window sums, then row-wise k-column window
+    sums of those (see _window_sums). Integer-exact, since the largest sum,
+    k·k·255, fits uint16 for k <= 16 (mean comparisons are done
+    cross-multiplied by k*k)."""
+    assert k <= 16, k  # 17·17·255 overflows uint16
     pad = k // 2
     if pad == 0:  # k == 1 → the 1x1 box sum is the image itself
-        return img.astype(np.int32)
+        return img.astype(np.uint16)
     h0, w0 = img.shape
-    p = np.empty((h0 + 2 * pad, w0 + 2 * pad), dtype=np.int32)
+    p = np.empty((h0 + 2 * pad, w0 + 2 * pad), dtype=np.uint16)
     p[pad:-pad, pad:-pad] = img
     p[:pad, pad:-pad] = img[0]
     p[-pad:, pad:-pad] = img[-1]
     p[:, :pad] = p[:, pad:pad + 1]
     p[:, -pad:] = p[:, -pad - 1:-pad]
-    cols = np.zeros((h0 + 2 * pad + 1, w0 + 2 * pad), dtype=np.int32)
-    np.cumsum(p, axis=0, dtype=np.int32, out=cols[1:])
-    vert = cols[k:] - cols[:-k]                    # (h0, w0 + 2pad) k-row sums
-    rows = np.zeros((h0, w0 + 2 * pad + 1), dtype=np.int32)
-    np.cumsum(vert, axis=1, dtype=np.int32, out=rows[:, 1:])
-    return rows[:, k:] - rows[:, :-k]
+    return _window_sums(_window_sums(p, k, 0), k, 1)
 
 
 def binarize(img: np.ndarray, kind: str = "balanced") -> np.ndarray:
@@ -147,9 +183,12 @@ def binarize(img: np.ndarray, kind: str = "balanced") -> np.ndarray:
         return blurred <= t
     # balanced: Gaussian blur + adaptive threshold(blockSize=11, C=2):
     # ink iff blurred <= local_mean - 2, evaluated integer-exact as
-    # (blurred + 2) * k^2 <= local box SUM (no float pass)
-    local_sum = _box_sum(blurred, 11)
-    return (blurred.astype(np.int32) + 2) * 121 <= local_sum
+    # (blurred + 2) * k^2 <= local box SUM (no float pass), all in uint16:
+    # (255 + 2) * 121 < 2^16
+    lhs = blurred.astype(np.uint16)
+    lhs += 2
+    lhs *= 121
+    return lhs <= _box_sum(blurred, 11)
 
 
 # ----------------------------------------------------- S6 visualization
@@ -204,20 +243,20 @@ def deskew(img: np.ndarray) -> tuple[np.ndarray, float]:
 # ------------------------------------------------- segmentation + recognition
 
 def despeckle(mask: np.ndarray) -> np.ndarray:
-    """Remove isolated ink pixels (no ink in the 8-neighborhood).
+    """Remove isolated ink pixels (no ink in the 8-neighborhood): keep an
+    ink pixel iff its 3x3 ink count, built separably (row sums, then column
+    sums), exceeds its own.
 
     The engine's analog of the reference's morphological clean-up step
     (app2.py:291-294); glyph strokes at scale >= 2 are always >= 2x2 blocks,
     so only noise specks are affected — deterministic."""
-    m = mask.astype(np.uint8)
-    p = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=np.uint8)
-    p[1:-1, 1:-1] = m
-    neigh = (
-        p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:]
-        + p[1:-1, :-2] + p[1:-1, 2:]
-        + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]
-    )
-    return mask & (neigh > 0)
+    p = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=np.uint8)
+    p[1:-1, 1:-1] = mask
+    rows = p[:, :-2] + p[:, 1:-1]
+    rows += p[:, 2:]
+    box = rows[:-2] + rows[1:-1]
+    box += rows[2:]
+    return mask & (box > p[1:-1, 1:-1])
 
 
 MIN_BAND_PX = 3  # ignore line bands thinner than any glyph row could be
@@ -292,23 +331,27 @@ def _lang_perm(lang: str | None) -> np.ndarray | None:
     return perm
 
 
-# Bits per matmul slice in _agreement: bounds the float64 copies of one
-# slice of cells and templates (~5.5 MB for the 42 templates) whatever the
-# cell size; every corpus cell fits in one slice.
+# Bits per matmul slice in _agreement: bounds the float32 copies of one
+# slice of cells and templates (~2.8 MB for the 42 templates) whatever the
+# cell size; every corpus cell fits in one slice. A slice's dot product is
+# at most _MATMUL_BITS, which float32 holds exactly up to 2^24.
 _MATMUL_BITS = 1 << 14
+assert _MATMUL_BITS <= 1 << 24
 
 
 def _agreement(cells: np.ndarray, templates: np.ndarray) -> np.ndarray:
     """(m, g) score ``2·a·t − |a| − |t|`` of 0/1 rows a (cells) and t
     (templates): the number of equal bits minus the bit count, i.e. minus
-    the hamming distance. The dot products are float64 matmuls over
-    unpacked bits, accumulated slice by slice; every partial sum is an
-    integer of at most ch·cw <= 2^32 (IMGX sides are u16), far below 2^53,
-    so the result is integer-exact in any summation order."""
+    the hamming distance. The dot products are float32 matmuls over
+    unpacked bits, one per slice of _MATMUL_BITS bits, summed in float64.
+    Every partial sum inside a slice is an integer of at most _MATMUL_BITS
+    <= 2^24, exact in float32 in any BLAS summation order, and the float64
+    total is at most ch·cw <= 2^32 (IMGX sides are u16), far below 2^53, so
+    the result is integer-exact."""
     dot = np.zeros((len(cells), len(templates)))
     for s in range(0, cells.shape[1], _MATMUL_BITS):
-        dot += (cells[:, s:s + _MATMUL_BITS].astype(np.float64)
-                @ templates[:, s:s + _MATMUL_BITS].T.astype(np.float64))
+        dot += (cells[:, s:s + _MATMUL_BITS].astype(np.float32)
+                @ templates[:, s:s + _MATMUL_BITS].T.astype(np.float32))
     return (2.0 * dot - np.count_nonzero(cells, axis=1)[:, None]
             - np.count_nonzero(templates, axis=1)[None, :])
 
@@ -369,7 +412,7 @@ def recognize_lines(mask: np.ndarray, conf_img: np.ndarray | None = None,
     Recognition is batched per PAGE: the character grid of every band is
     laid out first, as arrays, then the page's cells are gathered into one
     array per ``(ch, cw)`` shape and each shape is scored by a single
-    ``_match_cells_batch`` call (one exact float64 matmul, see
+    ``_match_cells_batch`` call (one exact matmul per bit slice, see
     _agreement). The glyph scores keep the per-line order — width groups in
     first-occurrence order, then char index — so their mean is
     bit-identical to scoring band by band. Returns (lines, glyph_scores);
@@ -377,7 +420,7 @@ def recognize_lines(mask: np.ndarray, conf_img: np.ndarray | None = None,
     """
     w = mask.shape[1]
     mask = despeckle(mask)
-    bands = [(y0, y1) for y0, y1 in _bands(mask.sum(axis=1))
+    bands = [(y0, y1) for y0, y1 in _bands(np.count_nonzero(mask, axis=1))
              if y1 - y0 >= MIN_BAND_PX]
     if not bands:
         return [], []

@@ -839,3 +839,156 @@ class TestPageBatchedRecognition:
         assert max(requested) > ie.TEMPLATE_CACHE_MAX_BYTES
         assert all(t.nbytes <= ie.TEMPLATE_CACHE_MAX_BYTES
                    for t in ie._TEMPLATE_CACHE.values())
+
+
+# Verbatim copies of the image helpers as they were before their rewrites
+# for speed: oracles of TestImageHelpersExact (with _ref_box_sum and
+# _ref_otsu_threshold above).
+def _ref_optimize_image(img: np.ndarray, max_dim: int) -> np.ndarray:
+    h, w = img.shape
+    if w <= max_dim and h <= max_dim:
+        return img
+    if w > h:
+        new_w = max_dim
+        new_h = int(h * (max_dim / w))
+    else:
+        new_h = max_dim
+        new_w = int(w * (max_dim / h))
+    ys = (np.arange(new_h) * h // new_h).astype(np.int64)
+    xs = (np.arange(new_w) * w // new_w).astype(np.int64)
+    return img[np.ix_(ys, xs)]
+
+
+def _ref_gaussian_blur3(img: np.ndarray) -> np.ndarray:
+    h, w = img.shape
+    if h < 2 or w < 2:
+        p = np.pad(img, 1, mode="reflect").astype(np.uint16)
+    else:
+        p = np.empty((h + 2, w + 2), dtype=np.uint16)
+        p[1:-1, 1:-1] = img
+        p[0, 1:-1] = img[1]
+        p[-1, 1:-1] = img[-2]
+        p[:, 0] = p[:, 2]
+        p[:, -1] = p[:, -3]
+    horiz = p[1:-1, :-2] + 2 * p[1:-1, 1:-1] + p[1:-1, 2:]          # <= 1020
+    h = horiz.shape[0]
+    if h < 2:
+        p2 = np.pad(horiz, ((1, 1), (0, 0)), mode="reflect")
+    else:
+        p2 = np.empty((h + 2, horiz.shape[1]), dtype=np.uint16)
+        p2[1:-1] = horiz
+        p2[0] = horiz[1]
+        p2[-1] = horiz[-2]
+    total = p2[:-2] + 2 * p2[1:-1] + p2[2:]                          # <= 4080
+    return ((total + 8) >> 4).astype(np.uint8)                       # /16 rounded
+
+
+def _ref_despeckle(mask: np.ndarray) -> np.ndarray:
+    m = mask.astype(np.uint8)
+    p = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=np.uint8)
+    p[1:-1, 1:-1] = m
+    neigh = (
+        p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:]
+        + p[1:-1, :-2] + p[1:-1, 2:]
+        + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]
+    )
+    return mask & (neigh > 0)
+
+
+def _helper_inputs() -> list[np.ndarray]:
+    """uint8 rasters of every awkward shape and layout: 1x1, one row, one
+    column, smaller than the 11x11 window, odd sizes, non-contiguous and
+    odd-offset views, all 0 and all 255."""
+    rng = np.random.default_rng(11)
+    big = rng.integers(0, 256, (64, 97)).astype(np.uint8)
+    arrays = [rng.integers(0, 256, shape).astype(np.uint8)
+              for shape in [(1, 1), (1, 2), (1, 37), (37, 1), (2, 1), (3, 5),
+                            (10, 10), (7, 10), (10, 3), (11, 11), (12, 12),
+                            (33, 53), (53, 33)]]
+    arrays += [big[::2, 1::3], big[:, 5:40], big[1:, ::-1], big.T,
+               big.ravel()[1:1 + 31 * 47].reshape(31, 47)]
+    arrays += [np.zeros((13, 17), np.uint8), np.full((13, 17), 255, np.uint8),
+               np.full((1, 1), 255, np.uint8), np.full((40, 3), 255, np.uint8)]
+    # two-level pages, the Otsu case the corpus is made of
+    arrays += [np.where(rng.random((29, 31)) < p, 0, 255).astype(np.uint8)
+               for p in (0.01, 0.3)]
+    return arrays
+
+
+class TestImageHelpersExact:
+    """The narrow-integer, float32 and take-based helpers equal their
+    straightforward int64 / float64 / np.ix_ forms on every input."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 11, 15])
+    def test_box_sum(self, k):
+        for a in _helper_inputs():
+            got = ie._box_sum(a, k)
+            assert got.dtype == np.uint16
+            np.testing.assert_array_equal(got, _ref_box_sum(a, k), err_msg=str(a.shape))
+
+    def test_box_sum_window_bound(self):
+        assert ie._box_sum(np.full((40, 40), 255, np.uint8), 15).max() == 15 * 15 * 255
+        with pytest.raises(AssertionError):
+            ie._box_sum(np.zeros((40, 40), np.uint8), 17)
+
+    def test_gaussian_blur(self):
+        for a in _helper_inputs():
+            got = ie._gaussian_blur3(a)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, _ref_gaussian_blur3(a), err_msg=str(a.shape))
+
+    def test_balanced_binarize(self):
+        for a in _helper_inputs():
+            np.testing.assert_array_equal(ie.binarize(a, "balanced"),
+                                          _ref_binarize(a, "balanced"))
+
+    @pytest.mark.parametrize("pair_min", [None, 0])
+    def test_histogram_and_otsu(self, pair_min, monkeypatch):
+        """Both histogram paths: pixel pairs from _PAIR_HISTOGRAM_MIN up,
+        and (pair_min 0) on every input, the 1x1 and odd sizes included."""
+        if pair_min is not None:
+            monkeypatch.setattr(ie, "_PAIR_HISTOGRAM_MIN", pair_min)
+        big = np.random.default_rng(13).integers(0, 256, (401, 331)).astype(np.uint8)
+        assert big.size > ie._PAIR_HISTOGRAM_MIN and big.size % 2
+        for a in _helper_inputs() + [big, big[:, 1:], big.ravel()[1:1 + 400 * 331].reshape(400, 331)]:
+            hist = ie._histogram(a)
+            np.testing.assert_array_equal(hist, np.bincount(a.ravel(), minlength=256))
+            assert hist.sum() == a.size
+            blurred = ie._gaussian_blur3(a)
+            assert ie._otsu_threshold(a) == _ref_otsu_threshold(a)
+            assert ie._otsu_threshold(blurred) == _ref_otsu_threshold(blurred)
+
+    def test_despeckle(self):
+        rng = np.random.default_rng(12)
+        masks = [a < 128 for a in _helper_inputs()]
+        masks += [rng.random((50, 70)) < p for p in (0.02, 0.1, 0.5, 0.95)]
+        masks += [np.zeros((5, 5), bool), np.ones((5, 5), bool)]
+        for m in masks:
+            got = ie.despeckle(m)
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, _ref_despeckle(m))
+
+    def test_optimize_image(self):
+        for a in _helper_inputs():
+            for max_dim in (1, 2, 7, 16, 40, 1200):
+                got = ie.optimize_image(a, max_dim)
+                want = _ref_optimize_image(a, max_dim)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, ie._MATMUL_BITS + 3])
+    def test_agreement_is_minus_hamming(self, extra):
+        """Cells that straddle a matmul slice boundary, including all-ink
+        ones whose slice dot products reach _MATMUL_BITS."""
+        nbits = ie._MATMUL_BITS + extra
+        rng = np.random.default_rng(nbits)
+        cells = rng.random((6, nbits)) < 0.5
+        cells[0] = True
+        cells[1] = False
+        templates = rng.random((5, nbits)) < 0.4   # glyph stacks are bool
+        templates[0] = True
+        got = ie._agreement(cells, templates)
+        want = -(cells[:, None, :] != templates[None, :, :]).sum(axis=2, dtype=np.int64)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert got[0, 0] == 0

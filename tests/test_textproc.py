@@ -5,6 +5,16 @@ Each vector transcribes the reference's observable semantics
 """
 
 import math
+import operator
+import os
+import re
+from collections import defaultdict
+from functools import reduce
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobile_ocr_api_ray.functions import (
     STOP_WORDS,
@@ -17,6 +27,12 @@ from mobile_ocr_api_ray.functions import (
 )
 from mobile_ocr_api_ray.functions.navigation import clamp_index, navigate, suggested_actions
 from mobile_ocr_api_ray.functions.routing import route_quality
+from mobile_ocr_api_ray.pipelines.extract import (
+    SUMMARY_MAX_SENTENCES,
+    SUMMARY_MIN_WORDS,
+    SUMMARY_RATIO,
+    summarize_batch,
+)
 
 
 class TestSentenceSplit:  # F1, app.py:441-445
@@ -38,6 +54,36 @@ class TestSentenceSplit:  # F1, app.py:441-445
 
     def test_newline_separator(self):
         assert split_into_sentences("One.\nTwo.") == ["One.", "Two."]
+
+
+def _ref_split_into_sentences(text):
+    """The reference's F1, verbatim (app.py:441-445)."""
+    sentences = re.split(r"(?<=[.!?])\s+", text)
+    return [s.strip() for s in sentences if s.strip()]
+
+
+class TestSentenceSplitExact:  # F1 against the reference's lookbehind split
+    _pieces = st.sampled_from(["a", "Dr", "x_1", "İ", "ς", ".", "!", "?", "..", "?!",
+                               " ", "  ", "\t", "\n", "\u3000", "\x1c", "\u2028",
+                               "\xa0", ",", "'", "—"])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_pieces, max_size=30).map("".join))
+    def test_generated_texts(self, text):
+        assert split_into_sentences(text) == _ref_split_into_sentences(text)
+
+    def test_corpus_texts(self, small_corpus):
+        texts = pq.read_table(os.path.join(small_corpus, "golden.parquet"),
+                              columns=["golden_text"])["golden_text"].to_pylist()
+        texts = [t for t in texts if t]
+        paragraphs = [p for t in texts for p in t.split("\n\n")]
+        for text in texts + paragraphs:
+            assert split_into_sentences(text) == _ref_split_into_sentences(text)
+
+    def test_edges(self):
+        for text in ["", " ", ".", ". ", " .", "a.", "a. ", "a.. b", "a .b", "x!\t\ty?",
+                     "a.\u3000b", "  .  x", "a?!  b. c", "end.\n"]:
+            assert split_into_sentences(text) == _ref_split_into_sentences(text), text
 
 
 class TestTokenizer:  # F2, app.py:453
@@ -77,6 +123,117 @@ class TestScorer:  # F3, app.py:447-480
         for w in ("yourselves", "yang", "adalah", "let's", "he'd"):
             assert w in STOP_WORDS
         assert len(STOP_WORDS) == 170  # 170 unique literals in app2.py:627-645
+
+
+_REF_WORD = re.compile(r"\w+")
+
+
+def _ref_score_sentences(sentences, stop_words=STOP_WORDS):
+    """The reference's F3 loop, verbatim: the oracle of TestScorerExact."""
+    tokens = [_REF_WORD.findall(sentence.lower()) for sentence in sentences]
+    word_freq = defaultdict(int)
+    for words in tokens:
+        for word in words:
+            if word not in stop_words:
+                word_freq[word] += 1
+
+    max_freq = max(word_freq.values()) if word_freq else 1
+    word_freq = {word: freq / max_freq for word, freq in word_freq.items()}
+
+    scores = []
+    n = len(sentences)
+    for i, words in enumerate(tokens):
+        score = 0
+        for word in words:
+            if word in word_freq:
+                score += word_freq[word]
+        if words:
+            score = score / len(words)
+        if i < n * 0.2 or i > n * 0.8:
+            score *= 1.25
+        scores.append(score)
+    return scores
+
+
+def _bits(scores):
+    """Type and exact float bits of each score."""
+    return [(type(x), float(x).hex()) for x in scores]
+
+
+# Tokens that stress the tokenizer and the counting: stop words, Greek
+# final sigma, dotted capital I (lowercases to i + U+0307, which \w does not
+# match), digits, underscores, punctuation-only runs.
+_VOCAB = ["the", "and", "yang", "is", "data", "Data", "DATA", "model", "σοφός",
+          "ΣΟΦΟΣ", "ς", "Σ", "İstanbul", "İ", "i̇", "2024", "3.14", "x_1", "_",
+          "__init__", "word_x", "it's", "...", "—", "!?", "naïve", "straße"]
+
+_sentence = st.lists(st.sampled_from(_VOCAB), max_size=12).map(" ".join)
+
+
+class TestScorerExact:  # F3 floats, bit for bit against the reference loop
+    def test_corpus_texts(self, small_corpus):
+        texts = pq.read_table(os.path.join(small_corpus, "golden.parquet"),
+                              columns=["golden_text"])["golden_text"].to_pylist()
+        n = 0
+        for text in texts:
+            sentences = split_into_sentences(text or "")
+            assert _bits(score_sentences(sentences)) == _bits(_ref_score_sentences(sentences))
+            n += len(sentences)
+        assert n > 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_sentence, max_size=12))
+    def test_generated_sentences(self, sentences):
+        assert _bits(score_sentences(sentences)) == _bits(_ref_score_sentences(sentences))
+
+    def test_edge_sentences(self):
+        cases = [["the and is", "yang the"],            # stop words only
+                 ["...", "", "—!?", "data."],           # no tokens
+                 ["ΣΟΦΟΣ σοφός ς.", "σοφοσ σοφος."],   # final sigma
+                 ["İstanbul i̇stanbul.", "İ i"],         # dotted capital I
+                 ["x_1 __init__ 2024 3.14", "_ _ 2024"]]
+        for sentences in cases:
+            assert _bits(score_sentences(sentences)) == _bits(_ref_score_sentences(sentences))
+        # no token: the int 0 the loop starts from (no position bonus at
+        # i = 1..3 of 5); tokens that are all stop words: 0 / len = 0.0
+        got = _bits(score_sentences(["data.", "", "...", "the", "data."]))
+        assert got[1:4] == [(int, "0x0.0p+0"), (int, "0x0.0p+0"), (float, "0x0.0p+0")]
+
+    def test_left_to_right_sum(self):
+        """1/3 + 1 + 1 is 0x1.2aaaaaaaaaaaap+1 left to right but ...aabp+1
+        correctly rounded: a compensated sum (math.fsum, or builtin sum()
+        on floats from Python 3.12) would change this score."""
+        sentences = ["alpha beta gamma.", "beta gamma.", "beta gamma."]
+        got = score_sentences(sentences)
+        assert _bits(got) == _bits(_ref_score_sentences(sentences))
+        norm = [1 / 3, 1.0, 1.0]
+        assert got[0] == reduce(operator.add, norm, 0) / 3 * 1.25
+        assert got[0] != math.fsum(norm) / 3 * 1.25
+
+
+def _words_text(n_words: int) -> str:
+    """n_words words in sentences of five, separated by mixed whitespace
+    (str.split() whitespace), with whitespace at both ends."""
+    seps = [" ", "\t", "\n", "  ", "\u3000", "\x1c", " \r\n "]
+    words = [f"token{i % 7}x{i}" + ("." if i % 5 == 4 else "") for i in range(n_words)]
+    body = "".join(w + seps[i % len(seps)] for i, w in enumerate(words))
+    return "\u2003 \n" + body
+
+
+class TestSummaryWordGate:  # app2.py:1336: < 30 words → text verbatim
+    def test_gate_at_29_30_31_words(self):
+        texts = [_words_text(n) for n in (29, 30, 31)]
+        assert [len(t.split()) for t in texts] == [29, 30, 31]
+        ok = pa.array(["ok"] * 3)
+        out = summarize_batch(pa.table({"extracted_text": texts, "status": ok,
+                                        "summary": pa.nulls(3, pa.string()),
+                                        "compression_ratio": pa.nulls(3, pa.float64())}))
+        got = out["summary"].to_pylist()
+        assert got[0] == texts[0]
+        for text, summary in zip(texts[1:], got[1:]):
+            want = summarize(text, SUMMARY_RATIO, SUMMARY_MAX_SENTENCES)
+            assert want != text and summary == want
+        assert SUMMARY_MIN_WORDS == 30
 
 
 class TestSummarize:  # F4/T1, app2.py:647-676

@@ -2,7 +2,11 @@
 entry at a given sf tier and diff against oracle_sql() via DuckDB
 (row count + column names + order-insensitive value comparison).
 
-Usage: python tools/check_oracles.py [sf_dir] [query ...]
+Usage: python tools/check_oracles.py [--num-cpus N] [sf_dir] [query ...]
+
+``--num-cpus`` sizes the Ray session this script starts (default 8), e.g. 1
+to time queries on one CPU slot; a session that is already running is
+reused as it is.
 """
 
 from __future__ import annotations
@@ -74,7 +78,29 @@ def compare(name: str, ours: pd.DataFrame, theirs: pd.DataFrame) -> list[str]:
     return problems
 
 
+def pop_num_cpus(argv: list[str]) -> int:
+    """Remove ``--num-cpus N`` / ``--num-cpus=N`` from argv and return N
+    (8 when absent). Every other argument stays where it is, so an unknown
+    ``--flag`` is a query selector and is reported like a typo'd name."""
+    num_cpus = 8
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--num-cpus":
+            value = argv[i + 1] if i + 1 < len(argv) else ""
+            del argv[i:i + 2]
+        elif argv[i].startswith("--num-cpus="):
+            value = argv.pop(i).split("=", 1)[1]
+        else:
+            i += 1
+            continue
+        if not value.isdigit() or int(value) < 1:
+            sys.exit(f"--num-cpus takes a positive integer, got {value!r}")
+        num_cpus = int(value)
+    return num_cpus
+
+
 def main():
+    num_cpus = pop_num_cpus(sys.argv)
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
     # oracle_sql() derives tier-dependent constants (ANN query dim, pages-
@@ -83,7 +109,7 @@ def main():
 
     import ray
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
+        ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
                  logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
