@@ -642,9 +642,6 @@ def host_pagerank(sf_dir: str):
                               batch_format="pyarrow")
     nc = _pages_coarse_hint(sf_dir)
     edges = linkgraph.host_edges(links, n_coarse=nc)
-    if isinstance(edges, pa.Table):          # empty corpus
-        return pa.table({"node": pa.array([], pa.string()),
-                         "pr": pa.array([], pa.float64())})
     out = linkgraph.pagerank(edges, n_coarse=nc)
     return out if isinstance(out, pa.Table) else out.sort("node")
 
@@ -701,13 +698,13 @@ def authority_filtered_pages(sf_dir: str, k: int = 16):
     import ray.data as _rd
 
     from ..stages.joins import hash_join
-    from ..stages.linkgraph import _str_coarse
 
     urls = read_pages(os.path.join(d, "pages.parquet"), columns=["url"])
 
     def host_rows(batch: pa.Table) -> pa.Table:
         h = pc.drop_null(crawl.host_of(batch["url"])).unique()
-        return pa.table({"host": h, "coarse": pa.array(_str_coarse(h, nc))})
+        return pa.table({"host": h,
+                         "coarse": pa.array(str_hash.str_coarse(h, nc))})
 
     def first_host(df: pd.DataFrame) -> pa.Table:
         g = df.drop_duplicates("host").sort_values("host")

@@ -1,38 +1,61 @@
-"""Hyperlink graph operators: out-link extraction, host edge rollup,
-distributed PageRank.
+"""Hyperlink graph operators: out-link extraction, the host edge rollup,
+the anchor-text index, connected components, and four iterated scores
+over the host graph: PageRank and HITS, each in float and in fixed-point
+int.
 
 The reference's navigation layer walks WITHIN one document — paragraph /
 column adjacency plus suggested next actions (app.py:1440-1533, suggested
 actions app.py:968-1007). At corpus scale the webtext analog of "what is
 reachable from here" is the hyperlink graph: per-page out-links, the
-host→host edge rollup, and a centrality score over it. PageRank follows
+host→host edge rollup, and centrality scores over it. PageRank follows
 Page et al., "The PageRank Citation Ranking" (Stanford InfoLab 1999), with
-the standard uniform dangling-mass redistribution.
+the standard uniform dangling-mass redistribution; HITS follows Kleinberg
+(1999).
 
 Scale notes (100 TB):
 - link extraction is a per-row kernel (same cost class as the extraction
   kernels in stages/extractor.py) — compiled regexes at module import,
   one pass per page, no DOM tree build;
 - the host graph after rollup is ~|hosts|² sparse — orders of magnitude
-  smaller than the corpus — so PageRank's per-round shuffles move edge
-  fractions and rank rows, never pages;
-- every shuffle is coarse-bucketed (crc32(key) % n_coarse) with exact-key
-  resolution inside the group fn, like stages/dedup.py.
+  smaller than the corpus — so the score rounds move edge and score rows,
+  never pages;
+- every grouped exchange is one ``exchange.keyed_exchange`` (or
+  ``keyed_stage``) call: coarse buckets, exact keys resolved inside the
+  group function.
 
-Determinism: with ``combine=False`` (default) every per-node float sum is
-computed over rows SORTED by the contributing key, making the result
-bit-identical across partition counts and parallelism levels — the
-property the partition-invariance tests pin. ``combine=True`` adds a
-per-partition partial-sum combiner (the 100 TB path: second shuffle
-carries ≤ n_coarse rows per node instead of in-degree rows); sums then
-associate differently across partitionings, so results are reproducible
-for a fixed n_coarse but only allclose-equal across partitionings.
+Iterated scores. Each of ``pagerank``, ``pagerank_int``, ``hits`` and
+``hits_int`` has two forms. At or below ``local_edges_max`` edges
+(200,000; the host rollup has 3,514 at sf0.01 and 31,599 at sf0.1) a
+local form runs in the calling process (``_pagerank_local`` and its
+siblings); it is also the bit-exact oracle of the distributed form.
+Above it all four run one loop, ``_propagate``, and differ only in a
+``_Step``: the per-edge contribution, the scalar total and the per-node
+finish.
+
+``_propagate`` builds the node table (node, out_w) with one keyed
+exchange, then keeps one score table, a row per node carrying out_w and
+every score column of the op. Each half-step:
+  1. a keyed exchange on the from-node pairs each edge with its from-node's
+     score row and emits a contribution row keyed on the to-node. A
+     dangling node is one with out_w == 0;
+  2. a keyed exchange on the to-node sums the contributions per node,
+     with the local forms' own call: rows sorted by (to, from, c), then
+     pandas' groupby sum;
+  3. one scalar total through a fixed 64-bucket tree: bucket =
+     crc32(node) % 64, a node-sorted ``Series.sum()`` per bucket, buckets
+     folded in index order by the caller. Only 64 numbers reach the
+     calling process;
+  4. a per-node finish sets the written score column.
+Every float sum is taken by the same call over the same rows in the same
+order as in the local form, so local ≡ distributed bit for bit, and no
+result depends on n_coarse. Integer sums are exact in any order.
 """
 
 from __future__ import annotations
 
 import html as _html
 import re
+from typing import Callable, NamedTuple
 from urllib.parse import urljoin, urlsplit
 
 import numpy as np
@@ -40,8 +63,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..str_hash import str_coarse
 from .crawl import host_of
-from .exchange import N_COARSE, nonempty_or_typed_table
+from .exchange import (N_COARSE, keyed_exchange, keyed_stage,
+                       nonempty_or_typed_table)
 from .html_extract import _DROP_ELEMENTS, _visible_text
 
 _ANCHOR_HREF = re.compile(
@@ -111,62 +136,196 @@ def extract_links(batch: pa.Table, url_col: str = "url",
 
 def host_edges(links_ds, n_coarse: int | None = None):
     """(src_url, dst_url) link rows → (src_host, dst_host, n_links) edge
-    rollup. Per-batch Arrow group_by combiner first, then one bucketed
-    groupby over pre-aggregated rows (the partial-aggregation pattern —
-    the exchange carries ≤ distinct host pairs per batch, not links)."""
-    nc = n_coarse or N_COARSE
+    rollup. A per-batch Arrow group_by combiner first, then one keyed
+    exchange on the host pair over the pre-aggregated rows (the
+    partial-aggregation pattern — the exchange carries ≤ distinct host
+    pairs per batch, not links)."""
+    schema = {"src_host": pa.string(), "dst_host": pa.string(),
+              "n_links": pa.int64()}
+
+    def rollup(t: pa.Table) -> pa.Table:
+        g = t.group_by(["src_host", "dst_host"]) \
+            .aggregate([("n_links", "sum")])
+        return pa.table({"src_host": g["src_host"], "dst_host": g["dst_host"],
+                         "n_links": g["n_links_sum"]})
 
     def partial(batch: pa.Table) -> pa.Table:
-        # unparseable hosts (host_of → null) roll up under "" — the later
-        # pandas groupby drops NaN keys, which would silently delete rows
-        t = pa.table({"src_host": pc.fill_null(host_of(batch["src_url"]), ""),
-                      "dst_host": pc.fill_null(host_of(batch["dst_url"]), ""),
-                      "one": pa.array(np.ones(batch.num_rows, np.int64))})
-        g = t.group_by(["src_host", "dst_host"]).aggregate([("one", "sum")])
-        # composite routing key "src|dst" built with one Arrow kernel,
-        # hashed with the shared buffer-slice crc32 (same bytes as the
-        # old f"{a}|{b}".encode() per-row form)
-        from ..str_hash import str_coarse
-        key = pc.binary_join_element_wise(g["src_host"], g["dst_host"], "|")
-        coarse = str_coarse(key, nc)
-        return pa.table({"src_host": g["src_host"],
-                         "dst_host": g["dst_host"],
-                         "n": g["one_sum"],
-                         "coarse": pa.array(coarse.astype(np.int32))})
+        # unparseable hosts (host_of → null) roll up under ""
+        return rollup(pa.table({
+            "src_host": pc.fill_null(host_of(batch["src_url"]), ""),
+            "dst_host": pc.fill_null(host_of(batch["dst_url"]), ""),
+            "n_links": pa.array(np.ones(batch.num_rows, np.int64))}))
 
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["src_host", "dst_host"], as_index=False)["n"].sum()
-        return pd.DataFrame({"src_host": g["src_host"],
-                             "dst_host": g["dst_host"],
-                             "n_links": g["n"].astype("int64")})
+    out = keyed_exchange(links_ds.map_batches(partial, batch_format="pyarrow"),
+                         ["src_host", "dst_host"], rollup, schema, n_coarse)
+    return nonempty_or_typed_table(out, schema)
 
-    out = (links_ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("coarse").map_groups(resolve, batch_format="pandas"))
-    return nonempty_or_typed_table(out, {
-        "src_host": pa.string(), "dst_host": pa.string(),
-        "n_links": pa.int64()})
+
+# ----------------------------------------------------- iterated scores
+
+_DANGLING_BUCKETS = 64  # fixed (n_coarse-independent) total tree
+
+
+def _positive_edges(edges_ds, src_col: str, dst_col: str, weight_col: str):
+    """The (src, dst, w) rows of ``edges_ds`` with w > 0, materialized, or
+    None when there are none. ``edges_ds`` is a Dataset or a ``pa.Table``
+    (host_edges returns a typed-empty table for an empty corpus)."""
+    import ray.data
+
+    if isinstance(edges_ds, pa.Table):
+        edges_ds = ray.data.from_arrow(edges_ds)
+
+    def positive(batch: pa.Table) -> pa.Table:
+        t = batch.filter(pc.greater(
+            batch[weight_col].cast(pa.int64()), pa.scalar(0, pa.int64())))
+        return pa.table({"src": t[src_col].cast(pa.string()),
+                         "dst": t[dst_col].cast(pa.string()),
+                         "w": t[weight_col].cast(pa.int64())})
+
+    edges = edges_ds.map_batches(positive, batch_format="pyarrow") \
+        .materialize()
+    return edges if edges.count() else None
+
+
+class _Step(NamedTuple):
+    """One half-step of ``_propagate``. Edges run src → dst when
+    ``forward``, dst → src otherwise. ``contrib(w, out_w, v)`` is an
+    edge's contribution from the ``read`` score of its from-node. The
+    total is Σ ``read`` over the dangling nodes (out_w == 0) before the
+    step when ``dangling``, else Σ of the new per-node sums ``s``.
+    ``finish(s, total, n)`` gives the new ``write`` scores."""
+    forward: bool
+    read: str
+    write: str
+    contrib: Callable
+    dangling: bool
+    finish: Callable
+
+
+def _tree_total(scores, col: str, dangling: bool, dtype: pa.DataType):
+    """Σ ``col`` over the score rows (only those with out_w == 0 when
+    ``dangling``) through the fixed 64-bucket tree of the local forms:
+    bucket = crc32(node) % 64, a node-sorted ``Series.sum()`` per bucket,
+    buckets folded in index order by the caller."""
+
+    def bucket_sums(t: pa.Table) -> pa.Table:
+        df = pd.DataFrame({"node": t["node"].to_numpy(),
+                           "v": t[col].to_numpy(),
+                           "b": str_coarse(t["node"], _DANGLING_BUCKETS)})
+        if dangling:
+            df = df[t["w"].to_numpy() == 0]
+        df = df.sort_values(["b", "node"], kind="mergesort")
+        sums = [(b, grp["v"].sum()) for b, grp in df.groupby("b", sort=True)]
+        return pa.table({"b": pa.array([b for b, _ in sums], pa.int32()),
+                         "t": [s for _, s in sums]})
+
+    rows = keyed_stage(scores, ["node"], bucket_sums,
+                       {"b": pa.int32(), "t": dtype}, _DANGLING_BUCKETS) \
+        .take_all()
+    total = 0
+    for r in sorted(rows, key=lambda r: r["b"]):
+        total += r["t"]
+    return total
+
+
+def _propagate(edges, n_coarse, n_iter: int, dtype: pa.DataType,
+               init: Callable, steps: "list[_Step]"):
+    """The distributed form of the four iterated scores (see the module
+    docstring). ``edges`` is the materialized (src, dst, w) table,
+    ``init(n)`` maps each score column to its start value for ``n`` nodes,
+    and every round runs ``steps`` in order. Returns a Dataset (node,
+    *score columns)."""
+    nc = n_coarse or N_COARSE
+    np_type = dtype.to_pandas_dtype()
+
+    def out_weights(t: pa.Table) -> pa.Table:
+        g = t.group_by("node").aggregate([("w", "sum")])
+        return pa.table({"node": g["node"], "w": g["w_sum"]})
+
+    def endpoints(b: pa.Table) -> pa.Table:
+        return out_weights(pa.concat_tables([
+            pa.table({"node": b["src"], "w": b["w"]}),
+            pa.table({"node": b["dst"],
+                      "w": pa.array(np.zeros(b.num_rows, np.int64))})]))
+
+    nodes = keyed_stage(edges.map_batches(endpoints, batch_format="pyarrow"),
+                        ["node"], out_weights,
+                        {"node": pa.string(), "w": pa.int64()}, nc) \
+        .materialize()
+    n = nodes.count()
+    start = init(n)
+    # one row schema for the whole loop: a score row (node, null peer,
+    # out_w, s, scores) or an edge/contribution row (node, peer, w, c in s)
+    schema = pa.schema([("node", pa.string()), ("peer", pa.string()),
+                        ("w", pa.int64()), ("s", dtype)]
+                       + [(c, dtype) for c in start])
+
+    def rows(node, peer, w, **cols) -> pa.Table:
+        zero = pa.array(np.zeros(len(node), np_type))
+        return pa.table({"node": node, "peer": peer, "w": w,
+                         **{c: cols.get(c, zero) for c in schema.names[3:]}})
+
+    def first(b: pa.Table) -> pa.Table:
+        k = b.num_rows
+        return rows(b["node"], pa.nulls(k, pa.string()), b["w"],
+                    **{c: pa.array(np.full(k, v, np_type))
+                       for c, v in start.items()})
+
+    def edge_rows(frm: str, to: str):
+        return edges.map_batches(lambda b: rows(b[frm], b[to], b["w"]),
+                                 batch_format="pyarrow")
+
+    def pair(step: _Step):
+        def run(t: pa.Table) -> pa.Table:
+            own = t.filter(pc.is_null(t["peer"]))
+            e = t.filter(pc.is_valid(t["peer"]))
+            at = own.take(pc.index_in(e["node"], value_set=own["node"]))
+            c = step.contrib(e["w"].to_numpy(), at["w"].to_numpy(),
+                             at[step.read].to_numpy())
+            return pa.concat_tables([own, rows(e["peer"], e["node"], e["w"],
+                                               s=pa.array(c, dtype))])
+        return run
+
+    def gather(t: pa.Table) -> pa.Table:
+        own = t.filter(pc.is_null(t["peer"]))
+        c = t.filter(pc.is_valid(t["peer"])).select(["node", "peer", "s"]) \
+            .to_pandas()
+        g = c.sort_values(["node", "peer", "s"], kind="mergesort") \
+            .groupby("node", sort=True)["s"].sum()
+        s = g.reindex(own["node"].to_numpy(), fill_value=0)
+        return own.set_column(own.schema.get_field_index("s"), "s",
+                              pa.array(s.to_numpy(np_type)))
+
+    def finish(step: _Step, total):
+        def run(b: pa.Table) -> pa.Table:
+            v = step.finish(b["s"].to_numpy(), total, n)
+            return b.set_column(b.schema.get_field_index(step.write),
+                                step.write, pa.array(v, dtype))
+        return run
+
+    scores = nodes.map_batches(first, batch_format="pyarrow")
+    for _ in range(n_iter):
+        for step in steps:
+            links = edge_rows(*(("src", "dst") if step.forward
+                                else ("dst", "src")))
+            summed = keyed_stage(
+                keyed_stage(links.union(scores), ["node"], pair(step),
+                            schema, nc),
+                ["node"], gather, schema, nc).materialize()
+            total = _tree_total(summed, step.read if step.dangling else "s",
+                                step.dangling, dtype)
+            scores = summed.map_batches(finish(step, total),
+                                        batch_format="pyarrow")
+    return scores.map_batches(lambda b: b.select(["node", *start]),
+                              batch_format="pyarrow").materialize()
 
 
 # ------------------------------------------------------------- PageRank
 
-_DANGLING_BUCKETS = 64  # fixed (n_coarse-independent) dangling-sum tree
-
-
-def _as_array(col) -> pa.Array:
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
-def _str_coarse(arr, nc: int) -> np.ndarray:
-    # shared buffer-slice crc32 (str_hash) — null hashes as '' (crc 0),
-    # the same (s or '') convention as before
-    from ..str_hash import str_coarse
-    return str_coarse(arr, nc)
-
-
 def _pagerank_local(edges: pd.DataFrame, damping: float,
                     n_iter: int) -> pa.Table:
     """Driver-local PageRank, bit-identical to the distributed
-    combine=False path: per-dst sums in (dst, src)-sorted order, dangling
+    path: per-dst sums in (dst, src)-sorted order, dangling
     mass through the same fixed 64-bucket tree (crc32(node) % 64,
     node-sorted within bucket, buckets summed in index order). The
     partition-invariance property of the distributed path (sums don't
@@ -182,7 +341,7 @@ def _pagerank_local(edges: pd.DataFrame, damping: float,
     dangling = [u for u in nodes if u not in out_w.index]
     dang_b = pd.DataFrame({
         "node": dangling,
-        "b": _str_coarse(dangling, _DANGLING_BUCKETS)}) \
+        "b": str_coarse(dangling, _DANGLING_BUCKETS)}) \
         .sort_values(["b", "node"], kind="mergesort")
     pr = pd.Series(np.full(n, 1.0 / n), index=nodes)
     for _ in range(n_iter):
@@ -201,232 +360,38 @@ def _pagerank_local(edges: pd.DataFrame, damping: float,
 
 def pagerank(edges_ds, damping: float = 0.85, n_iter: int = 10,
              src_col: str = "src_host", dst_col: str = "dst_host",
-             weight_col: str = "n_links",
-             n_coarse: int | None = None, combine: bool = False,
+             weight_col: str = "n_links", n_coarse: int | None = None,
              local_edges_max: int = 200_000):
-    """Weighted PageRank over an edge table, fully distributed.
+    """Weighted PageRank over an edge table (a Dataset or a ``pa.Table``).
 
     pr'(v) = (1-d)/N + d·(Σ_{u→v} pr(u)·w(u,v)/W(u) + dangling/N), fixed
-    ``n_iter`` rounds from the uniform start. Per round, exactly two
-    bucketed shuffles:
-      1. src-keyed: rank rows join edge rows (tagged union, exact-key
-         pandas merge inside each coarse group) → per-edge contributions;
-      2. dst-keyed: contributions regroup per node (union'd with a zero
-         row per node so in-degree-0 nodes keep receiving base + dangling
-         mass) and sum in sorted order (see module docstring).
-    The dangling mass Σ pr(dangling) is reduced through a FIXED 64-bucket
-    tree (bucket = crc32(node) % 64, per-bucket sorted sums, buckets
-    summed in index order on the driver) so its value is independent of
-    n_coarse; what reaches the driver is 64 floats, never the rank table.
+    ``n_iter`` rounds from the uniform start; edges with w ≤ 0 are dropped
+    first. At or below ``local_edges_max`` edges ``_pagerank_local`` runs
+    in the calling process: the edge ROLLUP is orders of magnitude smaller
+    than the corpus, and below the bound the per-round pipeline launches
+    cost more than the arithmetic. Above it, ``_propagate`` runs one step
+    a round: contribution (w/W(u))·pr(u), total = the dangling mass
+    Σ pr(u) over W(u) = 0 through the 64-bucket tree, finish base + d·s.
 
     Returns (node, pr). Ranks sum to 1 up to float rounding.
     """
-    import ray
+    edges = _positive_edges(edges_ds, src_col, dst_col, weight_col)
+    if edges is None:
+        return pa.schema([("node", pa.string()),
+                          ("pr", pa.float64())]).empty_table()
+    if edges.count() <= local_edges_max:
+        return _pagerank_local(edges.to_pandas(), damping, n_iter)
 
-    nc = n_coarse or N_COARSE
+    def finish(s, dmass, n):
+        base = (1.0 - damping) / n + damping * dmass / n
+        return base + damping * s
 
-    def positive(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater(
-            batch[weight_col].cast(pa.int64()), pa.scalar(0, pa.int64())))
+    def share(w, out_w, v):
+        return (w.astype(np.float64) / out_w.astype(np.float64)) * v
 
-    edges_mat = edges_ds.map_batches(positive,
-                                     batch_format="pyarrow").materialize()
-    n_edges = edges_mat.count()
-    if n_edges == 0:
-        return pa.table({"node": pa.array([], pa.string()),
-                         "pr": pa.array([], pa.float64())})
-    if n_edges <= local_edges_max and not combine:
-        # the edge ROLLUP (hosts², sparse) is orders of magnitude smaller
-        # than the corpus; below this bound the ~20 per-round pipeline
-        # launches cost far more than the arithmetic, so run the
-        # bit-identical local form on the driver (bounded by
-        # local_edges_max rows — never the corpus). The distributed loop
-        # below engages for true web-scale host graphs.
-        edf = edges_mat.to_pandas()
-        edges_pd = pd.DataFrame({
-            "src": edf[src_col].astype(str), "dst": edf[dst_col].astype(str),
-            "w": edf[weight_col].astype("int64")})
-        return _pagerank_local(edges_pd, damping, n_iter)
-
-    # ---- node table + out-weight totals (exact int sums) ----
-    def node_rows(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].cast(pa.string())
-        d = batch[dst_col].cast(pa.string())
-        w = batch[weight_col].cast(pa.int64())
-        t = pa.table({
-            "node": pa.concat_arrays(
-                [_as_array(s), _as_array(d)]),
-            "w": pa.concat_arrays(
-                [_as_array(w),
-                 pa.array(np.zeros(batch.num_rows, np.int64))])})
-        g = t.group_by("node").aggregate([("w", "sum")])
-        return pa.table({"node": g["node"], "w": g["w_sum"],
-                         "coarse": pa.array(_str_coarse(g["node"], nc))})
-
-    def node_resolve(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", as_index=False)["w"].sum()
-        return pd.DataFrame({"node": g["node"],
-                             "out_w": g["w"].astype("int64")})
-
-    nodes = (edges_mat.map_batches(node_rows, batch_format="pyarrow")
-             .groupby("coarse").map_groups(node_resolve,
-                                           batch_format="pandas")
-             .materialize())
-    n_nodes = nodes.count()
-
-    # ---- per-edge fraction w(u,v)/W(u): src-keyed bucketed join ----
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(np.zeros(batch.num_rows, np.int8)),
-            "key": batch[src_col].cast(pa.string()),
-            "dst": batch[dst_col].cast(pa.string()),
-            "val": batch[weight_col].cast(pa.int64()).cast(pa.float64()),
-            "coarse": pa.array(_str_coarse(batch[src_col], nc))})
-
-    def tag_nodes_w(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(np.ones(batch.num_rows, np.int8)),
-            "key": batch["node"].cast(pa.string()),
-            "dst": pa.array([None] * batch.num_rows, pa.string()),
-            "val": batch["out_w"].cast(pa.float64()),
-            "coarse": pa.array(_str_coarse(batch["node"], nc))})
-
-    def join_frac(df: pd.DataFrame) -> pd.DataFrame:
-        edg = df[df["kind"] == 0]
-        wt = df[df["kind"] == 1][["key", "val"]].rename(
-            columns={"val": "out_w"})
-        m = edg.merge(wt, on="key", how="left")
-        return pd.DataFrame({"src": m["key"], "dst": m["dst"],
-                             "frac": m["val"].to_numpy(np.float64)
-                                     / m["out_w"].to_numpy(np.float64)})
-
-    frac_edges = (edges_mat.map_batches(tag_edges, batch_format="pyarrow")
-                  .union(nodes.map_batches(tag_nodes_w,
-                                           batch_format="pyarrow"))
-                  .groupby("coarse").map_groups(join_frac,
-                                                batch_format="pandas")
-                  .materialize())
-
-    # ---- rank init: uniform ----
-    pr0 = 1.0 / n_nodes
-
-    def init_rank(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"],
-            "pr": pa.array(np.full(batch.num_rows, pr0, np.float64))})
-
-    rank = nodes.map_batches(init_rank, batch_format="pyarrow").materialize()
-
-    # ---- iteration: 2 bucketed passes per round ----
-    # A rank row whose node matches NO edge row in its (src-keyed) coarse
-    # partition belongs to a dangling node — all of a node's out-edges
-    # share its partition — so dangling detection rides the contribution
-    # join for free; no flag column, no reattach shuffle.
-    def tag_rank(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(np.ones(batch.num_rows, np.int8)),
-            "key": batch["node"], "dst": pa.array([None] * batch.num_rows,
-                                                  pa.string()),
-            "val": batch["pr"],
-            "coarse": pa.array(_str_coarse(batch["node"], nc))})
-
-    def tag_frac(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(np.zeros(batch.num_rows, np.int8)),
-            "key": batch["src"], "dst": batch["dst"], "val": batch["frac"],
-            "coarse": pa.array(_str_coarse(batch["src"], nc))})
-
-    def contribs(df: pd.DataFrame) -> pa.Table:
-        edg = df[df["kind"] == 0]
-        rk = df[df["kind"] == 1][["key", "val"]].rename(
-            columns={"val": "pr"})
-        m = edg.merge(rk, on="key", how="inner")
-        out = pd.DataFrame({
-            "dst": m["dst"], "src": m["key"],
-            "c": m["val"].to_numpy(np.float64) * m["pr"].to_numpy(np.float64)})
-        if combine:
-            # partial per (dst, partition): sorted by src first so the
-            # partial itself is deterministic for a fixed n_coarse
-            out = out.sort_values(["dst", "src", "c"], kind="mergesort")
-            out = out.groupby("dst", as_index=False)["c"].sum()
-            out["src"] = ""   # partial rows: combiner id not needed
-        out_t = pa.table({
-            "kind": pa.array(np.zeros(len(out), np.int8)),
-            "dst": pa.array(out["dst"], pa.string()),
-            "src": pa.array(out["src"], pa.string()),
-            "c": pa.array(out["c"].to_numpy(np.float64)),
-            "dcoarse": pa.array(_str_coarse(out["dst"], nc))})
-        # dangling rows: rank keys with no out-edges here, bucketed into
-        # the FIXED 64-way dangling tree (n_coarse-independent)
-        dang = rk[~rk["key"].isin(edg["key"])]
-        if not len(dang):
-            return out_t
-        dang_t = pa.table({
-            "kind": pa.array(np.ones(len(dang), np.int8)),
-            "dst": pa.array(dang["key"], pa.string()),
-            "src": pa.array([""] * len(dang), pa.string()),
-            "c": pa.array(dang["pr"].to_numpy(np.float64)),
-            "dcoarse": pa.array(_str_coarse(
-                dang["key"], _DANGLING_BUCKETS))})
-        return pa.concat_tables([out_t, dang_t])
-
-    def tag_zero(batch: pa.Table) -> pa.Table:
-        # one zero row per node — in-degree-0 nodes still get base mass
-        return pa.table({
-            "kind": pa.array(np.zeros(batch.num_rows, np.int8)),
-            "dst": batch["node"],
-            "src": pa.array([""] * batch.num_rows, pa.string()),
-            "c": pa.array(np.zeros(batch.num_rows, np.float64)),
-            "dcoarse": pa.array(_str_coarse(batch["node"], nc))})
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values("dst", kind="mergesort")
-        return pd.DataFrame({"b": [int(d["dcoarse"].iloc[0])],
-                             "s": [float(d["c"].sum())]})
-
-    for _ in range(n_iter):
-        stage1 = (frac_edges.map_batches(tag_frac, batch_format="pyarrow")
-                  .union(rank.map_batches(tag_rank, batch_format="pyarrow"))
-                  .groupby("coarse").map_groups(contribs,
-                                                batch_format="pandas")
-                  .materialize())
-
-        dang_rows = stage1.filter(expr="kind == 1")
-        parts = (dang_rows.groupby("dcoarse")
-                 .map_groups(per_bucket, batch_format="pandas")
-                 .to_pandas()) if dang_rows.count() else pd.DataFrame()
-        # sequential fold in bucket order — the SAME associativity as
-        # _pagerank_local's per-bucket `dmass +=` loop (pandas .sum() is
-        # pairwise/unrolled and diverges in the last ulp once >8 buckets
-        # are populated, silently breaking local==distributed bit-equality)
-        dmass = 0.0
-        if len(parts):
-            for s in parts.sort_values("b")["s"]:
-                dmass += float(s)
-        base = (1.0 - damping) / n_nodes + damping * dmass / n_nodes
-
-        def new_rank(df: pd.DataFrame, base=base) -> pd.DataFrame:
-            # (dst, src, c): parallel duplicate edges tie on (dst, src) —
-            # the value key fixes their summation order too
-            d = df.sort_values(["dst", "src", "c"], kind="mergesort")
-            g = d.groupby("dst", sort=True)["c"].sum()
-            return pd.DataFrame({
-                "node": g.index.to_numpy(),
-                "pr": base + damping * g.to_numpy(np.float64)})
-
-        rank = (stage1.filter(expr="kind == 0")
-                .union(nodes.map_batches(tag_zero, batch_format="pyarrow"))
-                .groupby("dcoarse").map_groups(new_rank,
-                                               batch_format="pandas")
-                .materialize())
-
-    def final(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"].cast(pa.string()),
-                         "pr": batch["pr"].cast(pa.float64())})
-
-    out = rank.map_batches(final, batch_format="pyarrow")
-    return nonempty_or_typed_table(out, {"node": pa.string(),
-                                         "pr": pa.float64()})
+    return _propagate(edges, n_coarse, n_iter, pa.float64(),
+                      lambda n: {"pr": 1.0 / n},
+                      [_Step(True, "pr", "pr", share, True, finish)])
 
 
 # ------------------------------------------------------ anchor-text index
@@ -443,45 +408,43 @@ def anchor_text_index(links_ds, n_coarse: int | None = None,
     with " | " (deterministic, bounded row width regardless of in-degree
     — no unbounded list rides the shuffle result).
 
-    One bucketed shuffle: per-batch combiner pre-aggregates
+    One keyed exchange on dst: a per-batch combiner pre-aggregates
     (dst, count, bounded distinct-text set) so hot targets (home pages
     linked from everywhere) reach the exchange as one row per batch."""
-    nc = n_coarse or N_COARSE
+
+    def merge(dsts, counts, texts):
+        # per distinct dst, in key order: summed count and the first
+        # ``cap`` distinct texts (the first cap of a union are the first
+        # cap of the union of each part's first cap)
+        n: dict = {}
+        seen: dict = {}
+        for d, k, ts in zip(dsts, counts, texts):
+            n[d] = n.get(d, 0) + k
+            seen.setdefault(d, set()).update(ts)
+        keys = sorted(n)
+        return (keys, [n[d] for d in keys],
+                [sorted(seen[d])[:cap] for d in keys])
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "dst": batch["dst_url"].to_pylist(),
-            "txt": batch["anchor_text"].to_pylist()})
-        rows_dst, rows_n, rows_txts = [], [], []
-        for dst, grp in df.groupby("dst", sort=False):
-            texts = sorted({t for t in grp["txt"] if t})[:cap]
-            rows_dst.append(dst)
-            rows_n.append(len(grp))
-            rows_txts.append(texts)
-        return pa.table({
-            "dst": pa.array(rows_dst, pa.string()),
-            "n": pa.array(rows_n, pa.int64()),
-            "txts": pa.array(rows_txts, pa.list_(pa.string())),
-            "coarse": pa.array(_str_coarse(rows_dst, nc))})
+        dst, n, txts = merge(batch["dst_url"].to_pylist(),
+                             [1] * batch.num_rows,
+                             [[t] if t else []
+                              for t in batch["anchor_text"].to_pylist()])
+        return pa.table({"dst": pa.array(dst, pa.string()),
+                         "n": pa.array(n, pa.int64()),
+                         "txts": pa.array(txts, pa.list_(pa.string()))})
 
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        out_dst, out_n, out_t = [], [], []
-        for dst, grp in df.groupby("dst", sort=True):
-            texts: set = set()
-            for ts in grp["txts"]:
-                texts.update(ts)
-            out_dst.append(dst)
-            out_n.append(int(grp["n"].sum()))
-            out_t.append(" | ".join(sorted(texts)[:cap]))
-        return pd.DataFrame({"dst_url": out_dst,
-                             "n_inlinks": pd.array(out_n, "int64"),
-                             "anchor_texts": out_t})
+    def resolve(t: pa.Table) -> pa.Table:
+        dst, n, txts = merge(t["dst"].to_pylist(), t["n"].to_pylist(),
+                             t["txts"].to_pylist())
+        return pa.table({"dst_url": dst, "n_inlinks": n,
+                         "anchor_texts": [" | ".join(ts) for ts in txts]})
 
-    out = (links_ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("coarse").map_groups(resolve, batch_format="pandas"))
-    return nonempty_or_typed_table(out, {
-        "dst_url": pa.string(), "n_inlinks": pa.int64(),
-        "anchor_texts": pa.string()})
+    schema = {"dst_url": pa.string(), "n_inlinks": pa.int64(),
+              "anchor_texts": pa.string()}
+    out = keyed_exchange(links_ds.map_batches(partial, batch_format="pyarrow"),
+                         ["dst"], resolve, schema, n_coarse)
+    return nonempty_or_typed_table(out, schema)
 
 
 # ------------------------------------------------- connected components
@@ -499,10 +462,10 @@ def host_components(edges_ds, src_col: str = "src_host",
     the recursive-CTE SQL oracle. Above the cap: each host maps to a
     63-bit md5 id, `stages/dedup.dup_clusters` runs its distributed
     min-label fixpoint over the id pairs, a co-partitioned hash_join
-    decorates hosts with their labels, and a per-label map_groups emits
-    component = min(host) — three bounded-by-the-rollup exchanges, never
-    the corpus. (The 63-bit id space makes a cross-host collision — which
-    could merge two components — a ~n²/2^64 event; below the cap the
+    decorates hosts with their labels, and a keyed exchange on the label
+    emits component = min(host) — three bounded-by-the-rollup exchanges,
+    never the corpus. (The 63-bit id space makes a cross-host collision —
+    which could merge two components — a ~n²/2^64 event; below the cap the
     exact path runs instead.)
 
     Returns (host, component) sorted by host; isolated hosts (no edges)
@@ -567,24 +530,21 @@ def host_components(edges_ds, src_col: str = "src_host",
             "host": pa.array(hosts, pa.string()),
             "h": pa.array([_h63(s) for s in hosts], pa.int64())})
 
-    def _first_typed(df: pd.DataFrame) -> pa.Table:
-        # distinct + back to ARROW types in one step: hash_join reads
-        # .schema() and pandas blocks would hand it python classes
-        return pa.table({
-            "host": pa.array(df["host"].head(1), pa.string()),
-            "h": pa.array(df["h"].head(1).astype("int64"), pa.int64())})
+    def distinct(t: pa.Table) -> pa.Table:
+        return t.group_by(["host", "h"]).aggregate([])
 
-    nodes = (edges_mat.map_batches(node_rows, batch_format="pyarrow")
-             .groupby("host").map_groups(
-                 _first_typed, batch_format="pandas"))
+    def comp(t: pa.Table) -> pa.Table:
+        g = t.group_by("label").aggregate([("host", "min")])
+        return pa.table({"host": t["host"], "component": g["host_min"].take(
+            pc.index_in(t["label"], value_set=g["label"]))})
+
+    nodes = keyed_exchange(
+        edges_mat.map_batches(node_rows, batch_format="pyarrow"), ["host"],
+        distinct, {"host": pa.string(), "h": pa.int64()})
     joined = hash_join(nodes, labels, "h", "src")
-
-    def comp(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"host": df["host"],
-                             "component": df["host"].min()})
-
-    return joined.groupby("label").map_groups(
-        comp, batch_format="pandas").sort("host")
+    return keyed_exchange(joined, ["label"], comp,
+                          {"host": pa.string(), "component": pa.string()}) \
+        .sort("host")
 
 
 # ------------------------------------------------- HITS (hubs/authorities)
@@ -596,7 +556,7 @@ def _hits_bucket_total(s: pd.Series) -> float:
     distributed paths normalize with the SAME float."""
     nodes = list(s.index)
     df = pd.DataFrame({"node": nodes, "v": s.to_numpy(np.float64),
-                       "b": _str_coarse(nodes, _DANGLING_BUCKETS)}) \
+                       "b": str_coarse(nodes, _DANGLING_BUCKETS)}) \
         .sort_values(["b", "node"], kind="mergesort")
     tot = 0.0
     for _, grp in df.groupby("b", sort=True):
@@ -642,150 +602,35 @@ def hits(edges_ds, n_iter: int = 10, src_col: str = "src_host",
     """Weighted HITS (Kleinberg 1999) over an edge table: per round,
     authority(v) = Σ_{u→v} w·hub(u) then hub(u) = Σ_{u→v} w·authority(v),
     each half-step L1-normalized. Scores from the uniform start, fixed
-    ``n_iter`` rounds.
+    ``n_iter`` rounds; edges with w ≤ 0 are dropped first.
 
-    ≤ ``local_edges_max`` edges: the bit-exact driver form (the pagerank
-    local-path bound — the host rollup, never the corpus). Above it, a
-    fully distributed round built from owned primitives: a co-partitioned
-    string-key `hash_join` (edges ⨝ scores, 2 bucketed exchanges), a
-    key-grouped sum in (key, other, c)-sorted order (float determinism —
-    the pagerank summation convention), and L1 normalization through the
-    fixed 64-bucket crc32 tree (what reaches the driver is 64 floats,
-    never the score table). Each round's score tables materialize
-    (rollup-proportional) so rounds don't re-execute lineage.
+    ≤ ``local_edges_max`` edges: ``_hits_local`` in-process (the
+    pagerank bound). Above it, ``_propagate`` with two steps a round, one
+    per edge direction, on one score table that carries both columns:
+    contribution w·v, total = Σ of the new sums through the 64-bucket
+    tree, finish s / total when total > 0.
 
     Returns (node, hub, authority); both scores sum to 1 up to float
     rounding. Rows-only at the oracle gate (iterated float products — no
     SQL form), pinned by local ≡ distributed and numpy differentials."""
-    import ray.data  # noqa: F401
+    edges = _positive_edges(edges_ds, src_col, dst_col, weight_col)
+    if edges is None:
+        return pa.schema([("node", pa.string()), ("hub", pa.float64()),
+                          ("authority", pa.float64())]).empty_table()
+    if edges.count() <= local_edges_max:
+        return _hits_local(edges.to_pandas(), n_iter)
 
-    from .joins import hash_join
+    def weighted(w, out_w, v):
+        return w.astype(np.float64) * v
 
-    empty = pa.table({"node": pa.array([], pa.string()),
-                      "hub": pa.array([], pa.float64()),
-                      "authority": pa.array([], pa.float64())})
-    if isinstance(edges_ds, pa.Table):
-        return empty
+    def norm(s, total, n):
+        return s / total if total > 0 else s
 
-    def positive(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater(
-            batch[weight_col].cast(pa.int64()), pa.scalar(0, pa.int64())))
-        return pa.table({
-            "src": t[src_col].cast(pa.string()),
-            "dst": t[dst_col].cast(pa.string()),
-            "w": t[weight_col].cast(pa.int64())})
-
-    edges_mat = edges_ds.map_batches(
-        positive, batch_format="pyarrow").materialize()
-    n_edges = edges_mat.count()
-    if n_edges == 0:
-        return empty
-    if n_edges <= local_edges_max:
-        return _hits_local(edges_mat.to_pandas(), n_iter)
-
-    # ---------------- distributed path ----------------
-    def node_rows(batch: pa.Table) -> pa.Table:
-        hosts = sorted(set(batch["src"].to_pylist())
-                       | set(batch["dst"].to_pylist()))
-        return pa.table({"node": pa.array(hosts, pa.string())})
-
-    def first_node(df: pd.DataFrame) -> pa.Table:
-        return pa.table({"node": pa.array(df["node"].head(1), pa.string())})
-
-    nodes = (edges_mat.map_batches(node_rows, batch_format="pyarrow")
-             .groupby("node").map_groups(first_node, batch_format="pandas")
-             .materialize())
-    n_nodes = nodes.count()
-
-    def init_scores(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"],
-            "v": pa.array(np.full(batch.num_rows, 1.0 / n_nodes))})
-
-    def _bucket_total(scores) -> float:
-        def partial(df: pd.DataFrame) -> pa.Table:
-            d = df.sort_values("node", kind="mergesort")
-            return pa.table({
-                "b": pa.array([int(df["b"].iloc[0])], pa.int32()),
-                "t": pa.array([float(d["v"].sum())], pa.float64())})
-
-        tagged = scores.map_batches(
-            lambda b: b.append_column("b", pa.array(
-                _str_coarse(b["node"], _DANGLING_BUCKETS)
-                .astype(np.int32))),
-            batch_format="pyarrow")
-        rows = (tagged.groupby("b").map_groups(
-            partial, batch_format="pandas").to_pandas()
-            .sort_values("b", kind="mergesort"))
-        tot = 0.0
-        for t in rows["t"]:
-            tot += float(t)
-        return tot
-
-    def _half_step(scores, join_key: str, out_key: str, other: str):
-        # edges ⨝ scores on join_key → per-edge contribution w·v,
-        # regrouped per out_key and summed in (out_key, other, c)-sorted
-        # order; nodes absent from any edge keep score 0 via the node
-        # table union
-        j = hash_join(edges_mat, scores, join_key, "node")
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "key": batch[out_key],
-                "other": batch[join_key],
-                "c": pa.array(
-                    batch["w"].to_numpy(zero_copy_only=False)
-                    .astype(np.float64)
-                    * batch["v"].to_numpy(zero_copy_only=False))})
-
-        def zero_rows(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "key": batch["node"],
-                "other": pa.array([""] * batch.num_rows, pa.string()),
-                "c": pa.array(np.zeros(batch.num_rows))})
-
-        def ksum(df: pd.DataFrame) -> pa.Table:
-            d = df.sort_values(["key", "other", "c"], kind="mergesort")
-            return pa.table({
-                "node": pa.array([d["key"].iloc[0]], pa.string()),
-                "v": pa.array([float(d["c"].sum())], pa.float64())})
-
-        out = (j.map_batches(contrib, batch_format="pyarrow")
-               .union(nodes.map_batches(zero_rows, batch_format="pyarrow"))
-               .groupby("key").map_groups(ksum, batch_format="pandas")
-               .materialize())
-        total = _bucket_total(out)
-        if total <= 0:
-            return out
-
-        def scale(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": batch["node"],
-                "v": pa.array(
-                    batch["v"].to_numpy(zero_copy_only=False) / total)})
-
-        return out.map_batches(scale, batch_format="pyarrow").materialize()
-
-    hub = nodes.map_batches(init_scores, batch_format="pyarrow") \
-        .materialize()
-    auth = hub
-    for _ in range(n_iter):
-        auth = _half_step(hub, "src", "dst", "src")
-        hub = _half_step(auth, "dst", "src", "dst")
-
-    # final assembly: hub table joins authority driver-side is NOT
-    # scale-safe; keep it distributed via hash_join on the node key
-    auth_renamed = auth.map_batches(
-        lambda b: pa.table({"node": b["node"],
-                            "authority": b["v"]}),
-        batch_format="pyarrow")
-    merged = hash_join(
-        hub.map_batches(lambda b: pa.table(
-            {"node": b["node"], "hub": b["v"]}), batch_format="pyarrow"),
-        auth_renamed.map_batches(lambda b: b.rename_columns(
-            ["node2", "authority"]), batch_format="pyarrow"),
-        "node", "node2")
-    return merged.select_columns(["node", "hub", "authority"])
+    return _propagate(edges, None, n_iter, pa.float64(),
+                      lambda n: {"hub": 1.0 / n, "authority": 1.0 / n},
+                      [_Step(True, "hub", "authority", weighted, False, norm),
+                       _Step(False, "authority", "hub", weighted, False,
+                             norm)])
 
 
 # ------------------------------------------- fixed-point integer PageRank
@@ -846,204 +691,40 @@ def pagerank_int(edges_ds, n_iter: int = 10,
                   + (num*in(v)) // den
 
     Every sum is an integer sum (order-free), so local == distributed ==
-    SQL bit-for-bit with no sorted-summation machinery. Total mass decays
-    by < N units/round to floor truncation — ranks are an ORDINAL score
-    in micro-units, not a probability; callers wanting probabilities use
-    :func:`pagerank`.
+    SQL bit-for-bit. Total mass decays by < N units/round to floor
+    truncation — ranks are an ORDINAL score in micro-units, not a
+    probability; callers wanting probabilities use :func:`pagerank`.
 
     Width budget: int64 requires scale * max(w) < 2^62 (checked at
     runtime); at larger weight scales pass a smaller ``scale`` (the SQL
     side can follow into HUGEINT, the engine side cannot).
 
-    Same routing convention as pagerank/host_components: the host edge
-    ROLLUP is hosts²-sparse, so ≤ ``local_edges_max`` rows run the exact
-    driver-local form; above it the distributed loop engages (two
-    bucketed exchanges per round, bounded by the rollup — never pages).
+    ≤ ``local_edges_max`` edges: ``_pagerank_int_local`` in-process.
+    Above it, ``_propagate`` runs one step a round: contribution
+    (r·w) // W(u), total = dmass, finish r'(v) above.
     """
-    import ray.data  # noqa: F401
-
-    nc = n_coarse or N_COARSE
     num, den = damp_num, damp_den
-
-    empty = pa.table({"node": pa.array([], pa.string()),
-                      "pr_int": pa.array([], pa.int64())})
-    if isinstance(edges_ds, pa.Table):          # typed-empty rollup
-        return empty
-
-    def positive(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater(
-            batch[weight_col].cast(pa.int64()), pa.scalar(0, pa.int64())))
-
-    edges_mat = edges_ds.map_batches(positive,
-                                     batch_format="pyarrow").materialize()
-    n_edges = edges_mat.count()
-    if n_edges == 0:
-        return empty
-    w_max = edges_mat.max(weight_col)
+    edges = _positive_edges(edges_ds, src_col, dst_col, weight_col)
+    if edges is None:
+        return pa.schema([("node", pa.string()),
+                          ("pr_int", pa.int64())]).empty_table()
+    w_max = edges.max("w")
     if scale * int(w_max) >= 2 ** 62:
         raise ValueError(
             f"pagerank_int: scale*max_weight {scale}*{w_max} exceeds the "
             f"int64 width budget; pass a smaller scale")
+    if edges.count() <= local_edges_max:
+        return _pagerank_int_local(edges.to_pandas(), n_iter, scale, num, den)
 
-    if n_edges <= local_edges_max:
-        edf = edges_mat.to_pandas()
-        edges_pd = pd.DataFrame({
-            "src": edf[src_col].astype(str), "dst": edf[dst_col].astype(str),
-            "w": edf[weight_col].astype("int64")})
-        return _pagerank_int_local(edges_pd, n_iter, scale, num, den)
+    def finish(s, dmass, n):
+        return (((den - num) * scale) // (den * n) + (num * dmass) // (den * n)
+                + (num * s) // den)
 
-    # ---- node table (node, out_w): exact int out-weight totals ----
-    def node_rows(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].cast(pa.string())
-        d = batch[dst_col].cast(pa.string())
-        w = batch[weight_col].cast(pa.int64())
-        t = pa.table({
-            "node": pa.concat_arrays([_as_array(s), _as_array(d)]),
-            "w": pa.concat_arrays(
-                [_as_array(w), pa.array(np.zeros(batch.num_rows, np.int64))])})
-        g = t.group_by("node").aggregate([("w", "sum")])
-        return pa.table({"node": g["node"],
-                         "out_w": g["w_sum"].cast(pa.int64()),
-                         "coarse": pa.array(_str_coarse(g["node"], nc))})
-
-    def node_resolve(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby("node", as_index=False)["out_w"].sum()
-        return pa.table({"node": pa.array(g["node"], pa.string()),
-                         "out_w": pa.array(g["out_w"].astype("int64"),
-                                           pa.int64())})
-
-    nodes = (edges_mat.map_batches(node_rows, batch_format="pyarrow")
-             .groupby("coarse").map_groups(node_resolve,
-                                           batch_format="pandas")
-             .materialize())
-    n_nodes = nodes.count()
-
-    # ---- decorate edges with W(u): one src-keyed bucketed join ----
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(np.zeros(batch.num_rows, np.int8)),
-            "key": batch[src_col].cast(pa.string()),
-            "dst": batch[dst_col].cast(pa.string()),
-            "val": batch[weight_col].cast(pa.int64()),
-            "coarse": pa.array(_str_coarse(batch[src_col], nc))})
-
-    def tag_nodes_w(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(np.ones(batch.num_rows, np.int8)),
-            "key": batch["node"].cast(pa.string()),
-            "dst": pa.array([None] * batch.num_rows, pa.string()),
-            "val": batch["out_w"].cast(pa.int64()),
-            "coarse": pa.array(_str_coarse(batch["node"], nc))})
-
-    def join_w(df: pd.DataFrame) -> pa.Table:
-        edg = df[df["kind"] == 0]
-        wt = df[df["kind"] == 1][["key", "val"]].rename(
-            columns={"val": "out_w"})
-        m = edg.merge(wt, on="key", how="left")
-        return pa.table({
-            "src": pa.array(m["key"], pa.string()),
-            "dst": pa.array(m["dst"], pa.string()),
-            "w": pa.array(m["val"].astype("int64"), pa.int64()),
-            "out_w": pa.array(m["out_w"].astype("int64"), pa.int64())})
-
-    w_edges = (edges_mat.map_batches(tag_edges, batch_format="pyarrow")
-               .union(nodes.map_batches(tag_nodes_w, batch_format="pyarrow"))
-               .groupby("coarse").map_groups(join_w, batch_format="pandas")
-               .materialize())
-
-    r0 = scale // n_nodes
-    part_base = ((den - num) * scale) // (den * n_nodes)
-
-    def init_rank(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"],
-            "r": pa.array(np.full(batch.num_rows, r0, np.int64))})
-
-    rank = nodes.map_batches(init_rank, batch_format="pyarrow").materialize()
-
-    # ---- iteration: 2 bucketed exchanges per round ----
-    # dangling detection rides the src-keyed join (all out-edges of a
-    # node share its partition, so a rank key matching no edge row is
-    # dangling) — the float pagerank's trick, minus its 64-bucket float
-    # tree: dmass here is one exact int aggregate.
-    def tag_rank(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(np.ones(batch.num_rows, np.int8)),
-            "key": batch["node"],
-            "dst": pa.array([None] * batch.num_rows, pa.string()),
-            "w": pa.array(np.zeros(batch.num_rows, np.int64)),
-            "out_w": pa.array(np.zeros(batch.num_rows, np.int64)),
-            "val": batch["r"],
-            "coarse": pa.array(_str_coarse(batch["node"], nc))})
-
-    def tag_wedge(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(np.zeros(batch.num_rows, np.int8)),
-            "key": batch["src"], "dst": batch["dst"],
-            "w": batch["w"], "out_w": batch["out_w"],
-            "val": pa.array(np.zeros(batch.num_rows, np.int64)),
-            "coarse": pa.array(_str_coarse(batch["src"], nc))})
-
-    def contribs(df: pd.DataFrame) -> pa.Table:
-        edg = df[df["kind"] == 0]
-        rk = df[df["kind"] == 1][["key", "val"]].rename(columns={"val": "r"})
-        m = edg.merge(rk, on="key", how="inner")
-        c = ((m["r"].to_numpy(np.int64) * m["w"].to_numpy(np.int64))
-             // m["out_w"].to_numpy(np.int64))
-        out_t = pa.table({
-            "kind": pa.array(np.zeros(len(m), np.int8)),
-            "dst": pa.array(m["dst"], pa.string()),
-            "c": pa.array(c, pa.int64()),
-            "dcoarse": pa.array(_str_coarse(m["dst"], nc))})
-        dang = rk[~rk["key"].isin(edg["key"])]
-        if not len(dang):
-            return out_t
-        dang_t = pa.table({
-            "kind": pa.array(np.ones(len(dang), np.int8)),
-            "dst": pa.array(dang["key"], pa.string()),
-            "c": pa.array(dang["r"].to_numpy(np.int64), pa.int64()),
-            "dcoarse": pa.array(np.zeros(len(dang), np.int32))})
-        return pa.concat_tables([out_t, dang_t])
-
-    def tag_zero(batch: pa.Table) -> pa.Table:
-        # one zero row per node — in-degree-0 nodes keep receiving mass
-        return pa.table({
-            "kind": pa.array(np.zeros(batch.num_rows, np.int8)),
-            "dst": batch["node"],
-            "c": pa.array(np.zeros(batch.num_rows, np.int64)),
-            "dcoarse": pa.array(_str_coarse(batch["node"], nc))})
-
-    for _ in range(n_iter):
-        stage1 = (w_edges.map_batches(tag_wedge, batch_format="pyarrow")
-                  .union(rank.map_batches(tag_rank, batch_format="pyarrow"))
-                  .groupby("coarse").map_groups(contribs,
-                                                batch_format="pandas")
-                  .materialize())
-
-        dang_rows = stage1.filter(expr="kind == 1")
-        dmass = int(dang_rows.sum("c") or 0) if dang_rows.count() else 0
-        part_dang = (num * dmass) // (den * n_nodes)
-
-        def new_rank(df: pd.DataFrame, part_dang=part_dang) -> pa.Table:
-            g = df.groupby("dst", as_index=False)["c"].sum()
-            s = g["c"].to_numpy(np.int64)
-            r = part_base + part_dang + (num * s) // den
-            return pa.table({"node": pa.array(g["dst"], pa.string()),
-                             "r": pa.array(r, pa.int64())})
-
-        rank = (stage1.filter(expr="kind == 0")
-                .union(nodes.map_batches(tag_zero, batch_format="pyarrow"))
-                .groupby("dcoarse").map_groups(new_rank,
-                                               batch_format="pandas")
-                .materialize())
-
-    def final(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"].cast(pa.string()),
-                         "pr_int": batch["r"].cast(pa.int64())})
-
-    out = rank.map_batches(final, batch_format="pyarrow")
-    return nonempty_or_typed_table(out, {"node": pa.string(),
-                                         "pr_int": pa.int64()})
+    return _propagate(edges, n_coarse, n_iter, pa.int64(),
+                      lambda n: {"pr_int": scale // n},
+                      [_Step(True, "pr_int", "pr_int",
+                             lambda w, out_w, v: (v * w) // out_w, True,
+                             finish)])
 
 
 # ------------------------------------------------ fixed-point integer HITS
@@ -1108,127 +789,38 @@ def hits_int(edges_ds, n_iter: int = 10, src_col: str = "src_host",
 
     Width budget: raw * scale ≤ scale² * Σw must stay under 2^62
     (runtime-checked); the scale must also exceed the node count or the
-    uniform start floors to zero (checked). Same ≤ ``local_edges_max``
-    driver-local routing as the other link-graph ops — the host edge
-    rollup is hosts²-sparse, never the corpus.
+    uniform start floors to zero (checked). ≤ ``local_edges_max`` edges:
+    ``_hits_int_local`` in-process. Above it, ``_propagate`` with the
+    two steps of :func:`hits`: contribution w·v, total = Σraw, finish
+    (raw * scale) // Σraw when Σraw > 0.
     """
-    import ray.data  # noqa: F401
-
-    from .joins import hash_join
-
-    nc = n_coarse or N_COARSE
-    empty = pa.table({"node": pa.array([], pa.string()),
-                      "hub_int": pa.array([], pa.int64()),
-                      "auth_int": pa.array([], pa.int64())})
-    if isinstance(edges_ds, pa.Table):
-        return empty
-
-    def positive(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater(
-            batch[weight_col].cast(pa.int64()), pa.scalar(0, pa.int64())))
-        return pa.table({
-            "src": t[src_col].cast(pa.string()),
-            "dst": t[dst_col].cast(pa.string()),
-            "w": t[weight_col].cast(pa.int64())})
-
-    edges_mat = edges_ds.map_batches(
-        positive, batch_format="pyarrow").materialize()
-    n_edges = edges_mat.count()
-    if n_edges == 0:
-        return empty
-    w_total = int(edges_mat.sum("w"))
+    edges = _positive_edges(edges_ds, src_col, dst_col, weight_col)
+    if edges is None:
+        return pa.schema([("node", pa.string()), ("hub_int", pa.int64()),
+                          ("auth_int", pa.int64())]).empty_table()
+    w_total = int(edges.sum("w"))
     if scale * scale * w_total >= 2 ** 62:
         raise ValueError(
             f"hits_int: scale^2 * total_weight {scale}^2*{w_total} exceeds "
             f"the int64 width budget; pass a smaller scale")
+    if edges.count() <= local_edges_max:
+        return _hits_int_local(edges.to_pandas(), n_iter, scale)
 
-    if n_edges <= local_edges_max:
-        return _hits_int_local(edges_mat.to_pandas(), n_iter, scale)
+    def start(n):
+        if n >= scale:
+            raise ValueError(
+                f"hits_int: node count {n} >= scale {scale} floors the "
+                f"uniform start to zero; pass a larger scale")
+        return {"hub_int": scale // n, "auth_int": 0}
 
-    # ---------------- distributed path ----------------
-    def node_rows(batch: pa.Table) -> pa.Table:
-        hosts = sorted(set(batch["src"].to_pylist())
-                       | set(batch["dst"].to_pylist()))
-        return pa.table({"node": pa.array(hosts, pa.string()),
-                         "coarse": pa.array(_str_coarse(hosts, nc))})
+    def weighted(w, out_w, v):
+        return w * v
 
-    def first_node(df: pd.DataFrame) -> pa.Table:
-        g = df.drop_duplicates("node").sort_values("node")
-        return pa.table({"node": pa.array(g["node"], pa.string())})
+    def norm(s, total, n):
+        return (s * scale) // total if total > 0 else s
 
-    nodes = (edges_mat.map_batches(node_rows, batch_format="pyarrow")
-             .groupby("coarse").map_groups(first_node,
-                                           batch_format="pandas")
-             .materialize())
-    n_nodes = nodes.count()
-    if n_nodes >= scale:
-        raise ValueError(
-            f"hits_int: node count {n_nodes} >= scale {scale} floors the "
-            f"uniform start to zero; pass a larger scale")
-
-    def init_scores(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"],
-            "v": pa.array(np.full(batch.num_rows, scale // n_nodes,
-                                  np.int64))})
-
-    def _half_step(scores, join_key: str, out_key: str):
-        # edges ⨝ scores on join_key → per-edge int contribution w·v,
-        # regrouped per out_key (coarse bucket, exact-key resolve), L1
-        # total via one exact int aggregate, floor-normalized per node
-        j = hash_join(edges_mat, scores, join_key, "node")
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            key = batch[out_key].cast(pa.string())
-            c = (batch["w"].to_numpy(zero_copy_only=False).astype(np.int64)
-                 * batch["v"].to_numpy(zero_copy_only=False)
-                 .astype(np.int64))
-            return pa.table({
-                "key": key, "c": pa.array(c, pa.int64()),
-                "kcoarse": pa.array(_str_coarse(key, nc))})
-
-        def zero_rows(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "key": batch["node"],
-                "c": pa.array(np.zeros(batch.num_rows, np.int64)),
-                "kcoarse": pa.array(_str_coarse(batch["node"], nc))})
-
-        def ksum(df: pd.DataFrame) -> pa.Table:
-            g = df.groupby("key", as_index=False)["c"].sum()
-            return pa.table({
-                "node": pa.array(g["key"], pa.string()),
-                "raw": pa.array(g["c"].astype("int64"), pa.int64())})
-
-        raw = (j.map_batches(contrib, batch_format="pyarrow")
-               .union(nodes.map_batches(zero_rows, batch_format="pyarrow"))
-               .groupby("kcoarse").map_groups(ksum, batch_format="pandas")
-               .materialize())
-        total = int(raw.sum("raw") or 0)
-
-        def norm(batch: pa.Table, total=total) -> pa.Table:
-            r = batch["raw"].to_numpy(zero_copy_only=False).astype(np.int64)
-            v = (r * scale) // total if total > 0 else r
-            return pa.table({"node": batch["node"],
-                             "v": pa.array(v, pa.int64())})
-
-        return raw.map_batches(norm, batch_format="pyarrow").materialize()
-
-    hub = nodes.map_batches(init_scores, batch_format="pyarrow") \
-        .materialize()
-    auth = hub
-    for _ in range(n_iter):
-        auth = _half_step(hub, "src", "dst")
-        hub = _half_step(auth, "dst", "src")
-
-    merged = hash_join(
-        hub.map_batches(lambda b: pa.table(
-            {"node": b["node"], "hub_int": b["v"]}),
-            batch_format="pyarrow"),
-        auth.map_batches(lambda b: pa.table(
-            {"node2": b["node"], "auth_int": b["v"]}),
-            batch_format="pyarrow"),
-        "node", "node2")
-    out = merged.select_columns(["node", "hub_int", "auth_int"])
-    return nonempty_or_typed_table(out, {"node": pa.string(),
-                                         "hub_int": pa.int64(),
-                                         "auth_int": pa.int64()})
+    return _propagate(edges, n_coarse, n_iter, pa.int64(), start,
+                      [_Step(True, "hub_int", "auth_int", weighted, False,
+                             norm),
+                       _Step(False, "auth_int", "hub_int", weighted, False,
+                             norm)])

@@ -143,7 +143,7 @@ def _map_groups_calls(path: str) -> "list[str]":
 
 
 # modules whose every grouped exchange goes through keyed_exchange
-MIGRATED = ["stages/dedup.py", "stages/joins.py"]
+MIGRATED = ["stages/dedup.py", "stages/joins.py", "stages/linkgraph.py"]
 
 
 @pytest.mark.parametrize("module", MIGRATED)

@@ -1,4 +1,6 @@
-"""Link-graph operators: out-link extraction, host edge rollup, PageRank."""
+"""Link-graph operators: out-link extraction, host edge rollup, PageRank,
+HITS, their fixed-point int siblings, components and the anchor-text
+index."""
 
 from __future__ import annotations
 
@@ -83,6 +85,14 @@ def edges_ds(rows):
         "n_links": pa.array([r[2] for r in rows], pa.int64())}))
 
 
+# A hub with 36 in-edges of distinct weights, plus dangling leaves: its
+# per-node float sum is long enough that a summation other than the local
+# forms' own (sorted rows, pandas groupby sum) differs in the last bits.
+HUB_ROWS = ([(f"s{i:02d}", "hub", i + 1) for i in range(36)]
+            + [("hub", f"leaf{i}", 1 + i % 4) for i in range(6)]
+            + [(f"s{i:02d}", f"s{i + 1:02d}", 2) for i in range(0, 36, 3)])
+
+
 def pr_of(out) -> dict[str, float]:
     df = out.to_pandas() if hasattr(out, "to_pandas") else out
     return dict(zip(df["node"], df["pr"]))
@@ -163,10 +173,11 @@ class TestPageRank:
             s, t = rng.choice(9, 2, replace=False)
             agg[(hosts[s], hosts[t])] = agg.get((hosts[s], hosts[t]), 0) + 1
         rows = [(s, t, k) for (s, t), k in sorted(agg.items())]
-        local = pr_of(linkgraph.pagerank(edges_ds(rows)))
-        dist = pr_of(linkgraph.pagerank(edges_ds(rows), n_coarse=5,
-                                        local_edges_max=0))
-        assert local == dist   # bit-identical, not just allclose
+        for graph in (rows, HUB_ROWS):
+            local = pr_of(linkgraph.pagerank(edges_ds(graph)))
+            dist = pr_of(linkgraph.pagerank(edges_ds(graph), n_coarse=5,
+                                            local_edges_max=0))
+            assert local == dist   # bit-identical, not just allclose
 
     def test_local_matches_distributed_many_dangling(self, ray_session):
         # >8 populated dangling buckets: pandas' pairwise/unrolled sum
@@ -180,18 +191,17 @@ class TestPageRank:
                                         local_edges_max=0))
         assert local == dist
 
-    def test_combine_mode_allclose(self, ray_session):
-        rows = [("a", "b", 2), ("b", "c", 1), ("c", "a", 3), ("a", "c", 1)]
-        a = pr_of(linkgraph.pagerank(edges_ds(rows), combine=False))
-        b = pr_of(linkgraph.pagerank(edges_ds(rows), combine=True))
-        for k in a:
-            assert b[k] == pytest.approx(a[k], rel=1e-12)
-
     def test_empty_edges(self, ray_session):
-        out = linkgraph.pagerank(edges_ds([]))
-        assert isinstance(out, pa.Table)
-        assert out.column_names == ["node", "pr"]
-        assert out.num_rows == 0
+        # a Dataset, and the typed-empty table host_edges returns for an
+        # empty corpus
+        typed_empty = pa.table({"src_host": pa.array([], pa.string()),
+                                "dst_host": pa.array([], pa.string()),
+                                "n_links": pa.array([], pa.int64())})
+        for edges in (edges_ds([]), typed_empty):
+            out = linkgraph.pagerank(edges)
+            assert isinstance(out, pa.Table)
+            assert out.column_names == ["node", "pr"]
+            assert out.num_rows == 0
 
 
 class TestPageMetadata:
@@ -408,13 +418,14 @@ class TestHits:
     def test_local_matches_distributed(self, ray_session):
         rows = [("a", "b", 2), ("b", "c", 1), ("c", "a", 3),
                 ("d", "a", 5), ("d", "c", 1), ("e", "e", 1)]
-        loc = self._scores(linkgraph.hits(edges_ds(rows), n_iter=3))
-        dist = self._scores(linkgraph.hits(edges_ds(rows), n_iter=3,
-                                           local_edges_max=0))
-        assert set(loc[0]) == set(dist[0])
-        for n in loc[0]:
-            assert loc[0][n] == dist[0][n]   # bit-exact
-            assert loc[1][n] == dist[1][n]
+        for graph in (rows, HUB_ROWS):
+            loc = self._scores(linkgraph.hits(edges_ds(graph), n_iter=3))
+            dist = self._scores(linkgraph.hits(edges_ds(graph), n_iter=3,
+                                               local_edges_max=0))
+            assert set(loc[0]) == set(dist[0])
+            for n in loc[0]:
+                assert loc[0][n] == dist[0][n]   # bit-exact
+                assert loc[1][n] == dist[1][n]
 
     def test_empty(self, ray_session):
         import ray.data
@@ -455,13 +466,14 @@ class TestPageRankInt:
         assert got["pr_int"].dtype == np.int64
 
     def test_local_matches_distributed_bit_exact(self, ray_session):
-        loc = linkgraph.pagerank_int(edges_ds(self.ROWS)) \
-            .to_pandas().sort_values("node").reset_index(drop=True)
-        for nc in (2, 5):
-            dist = linkgraph.pagerank_int(
-                edges_ds(self.ROWS), local_edges_max=0, n_coarse=nc) \
+        for graph in (self.ROWS, HUB_ROWS):
+            loc = linkgraph.pagerank_int(edges_ds(graph)) \
                 .to_pandas().sort_values("node").reset_index(drop=True)
-            assert loc.equals(dist)
+            for nc in (2, 5):
+                dist = linkgraph.pagerank_int(
+                    edges_ds(graph), local_edges_max=0, n_coarse=nc) \
+                    .to_pandas().sort_values("node").reset_index(drop=True)
+                assert loc.equals(dist)
 
     def test_mass_decays_only_by_truncation(self, ray_session):
         # total mass loses < n units per round to floor truncation
@@ -536,13 +548,14 @@ class TestHitsInt:
         assert got["auth_int"].dtype == np.int64
 
     def test_local_matches_distributed_bit_exact(self, ray_session):
-        loc = linkgraph.hits_int(edges_ds(self.ROWS)) \
-            .to_pandas().sort_values("node").reset_index(drop=True)
-        for nc in (2, 5):
-            dist = linkgraph.hits_int(
-                edges_ds(self.ROWS), local_edges_max=0, n_coarse=nc) \
+        for graph in (self.ROWS, HUB_ROWS):
+            loc = linkgraph.hits_int(edges_ds(graph)) \
                 .to_pandas().sort_values("node").reset_index(drop=True)
-            assert loc.equals(dist)
+            for nc in (2, 5):
+                dist = linkgraph.hits_int(
+                    edges_ds(graph), local_edges_max=0, n_coarse=nc) \
+                    .to_pandas().sort_values("node").reset_index(drop=True)
+                assert loc.equals(dist)
 
     def test_mass_decays_only_by_truncation(self, ray_session):
         # each normalized half-step's L1 total is scale minus < n units
