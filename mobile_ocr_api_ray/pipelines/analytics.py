@@ -36,7 +36,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-from ..stages.exchange import nonempty_or_typed_table
+from ..stages.exchange import nonempty_or_typed_table, typed_empty
 from .relational import _cents as _cents_arr
 from .relational import _pq, _rev_cents
 
@@ -1391,15 +1391,14 @@ def quiet_customers(sf_dir: str, threshold: float = QUIET_THRESHOLD,
             .select(["c_custkey", "c_name", "c_acctbal"]),
             batch_format="pyarrow")
 
-    from ..stages.exchange import _typed_empty_union
-
-    filtered = filtered.sort("c_custkey")
-    # typed-empty union AFTER the sort: sort() on an all-empty dataset
-    # erases its schema (documented erosion trap); a 0-row prefix block
-    # keeps the schema without disturbing the sorted order
-    return _typed_empty_union(filtered, {
+    filtered = filtered.sort("c_custkey").materialize()
+    if filtered.count():
+        return filtered
+    # sort() on an all-empty dataset erases its schema (documented erosion
+    # trap): hand back one typed empty block instead
+    return ray.data.from_arrow(typed_empty({
         "c_custkey": pa.int64(), "c_name": pa.string(),
-        "c_acctbal": pa.float64()})
+        "c_acctbal": pa.float64()}))
 
 
 WHLL_P = 8                        # 256 registers/window → ~6.5% std error

@@ -37,8 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import (N_COARSE, keyed_exchange, keyed_stage,
-                       nonempty_or_typed_table)
+from .exchange import N_COARSE, keyed_exchange, nonempty_or_typed_table
 
 _PAIR_IDS = {"id_a": pa.int64(), "id_b": pa.int64()}
 
@@ -128,12 +127,12 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
         t, starts, _ = _runs(t, ["digest", id_col], ["digest"])
         return t.take(starts)
 
-    schema = ds.schema()
-    return keyed_exchange(
-        ds.map_batches(lambda b: add_md5_digest(b, text_col),
-                       batch_format="pyarrow"),
-        ["digest"], first_per_digest,
-        pa.schema(list(zip(schema.names, schema.types))))
+    digested = ds.map_batches(lambda b: add_md5_digest(b, text_col),
+                              batch_format="pyarrow").materialize()
+    schema = digested.schema()
+    return keyed_exchange(digested, ["digest"], first_per_digest,
+                          {n: t for n, t in zip(schema.names, schema.types)
+                           if n != "digest"})
 
 
 def _digest_rows(ds, id_col: str, text_col: str):
@@ -504,7 +503,7 @@ def _lsh_pairs(bands, keys: "list[str]", id_col: str, payload_of,
         return _unique_pairs(ida, idb, **{val_col: val})
 
     schema = {**_PAIR_IDS, val_col: val_type}
-    pairs = keyed_stage(bands, keys, pairs_in_group, schema, n_coarse)
+    pairs = keyed_exchange(bands, keys, pairs_in_group, schema, n_coarse)
     return _dedup_pairs_coarse(pairs, val_col, val_type, n_coarse)
 
 
@@ -698,8 +697,9 @@ def minhash_pairs_md5_incremental(ds, old_pred,
     bands = ds.map_batches(
         lambda b: _md5_band_rows(b, id_col, text_col, old_pred),
         batch_format="pyarrow")
-    pairs = keyed_stage(bands, keys, cross_pairs,
-                        {**_PAIR_IDS, "est_jaccard": pa.float64()}, n_coarse)
+    pairs = keyed_exchange(bands, keys, cross_pairs,
+                           {**_PAIR_IDS, "est_jaccard": pa.float64()},
+                           n_coarse)
     return _dedup_pairs_coarse(pairs, "est_jaccard", pa.float64(),
                                n_coarse).map_batches(
         lambda b: b.rename_columns(["new_id", "old_id", "est_jaccard"]),
@@ -985,8 +985,8 @@ def _verify_pairs_core(pairs_ds, docs_ds, id_col: str, text_col: str,
     ref_schema = {"id": pa.int64(), "id_a": pa.int64(), "id_b": pa.int64(),
                   "side": pa.int8(), "text": pa.string(),
                   "est_jaccard": pa.float64()}
-    stamped = keyed_stage(refs.union(docs), ["id"], stamp, ref_schema,
-                          n_coarse)
+    stamped = keyed_exchange(refs.union(docs), ["id"], stamp, ref_schema,
+                             n_coarse)
     return keyed_exchange(
         stamped, ["id_a", "id_b"], verify,
         {**_PAIR_IDS, "est_jaccard": pa.float64(), **extra_cols}, n_coarse)
@@ -1230,10 +1230,10 @@ def _fp_overlap_pairs(exploded, *, id_col: str, cap: int,
         p = ~eff
         return finalize(a[p], b[p], n[p], eff_a[p], n[eff][row])
 
-    counts = keyed_stage(
+    counts = keyed_exchange(
         exploded, ["fp"], pairs_and_counts,
         {**_PAIR_IDS, "n_shared": pa.int64()}, n_coarse)
-    attached = keyed_stage(
+    attached = keyed_exchange(
         counts, ["id_a"], sum_and_attach_a,
         {**_PAIR_IDS, "n_shared": pa.int64(), "eff_a": pa.int64(),
          "doc": pa.int64()}, ncp)
@@ -1499,15 +1499,15 @@ def dup_clusters(pairs_ds, n_iter: "int | None" = None):
     for _ in range(rounds):
         tagged = edges if labels is None else edges.union(
             labels.map_batches(tag_labels, batch_format="pyarrow"))
-        joined = keyed_stage(
+        joined = keyed_exchange(
             tagged, ["key"], join_relabel,
             {"src": pa.int64(), "label": pa.int64(), "is_old": pa.int8()},
             n_coarse)
         # never empty: every edge endpoint gets a label
-        labels = keyed_stage(
+        labels = keyed_exchange(
             joined, ["src"], finalize_min,
             {"src": pa.int64(), "label": pa.int64(), "changed": pa.int64()},
-            n_coarse).materialize()
+            n_coarse)
         changed = labels.sum("changed", ignore_nulls=True) or 0
         if changed == 0:
             converged = True
@@ -1616,12 +1616,12 @@ def _first_occurrence_dedup(ds, explode, id_col: str, join_sep: str,
 
     schema = {id_col: pa.int64(), "clean_text": pa.string(),
               "n_removed": pa.int64()}
-    resolved = keyed_stage(
+    resolved = keyed_exchange(
         ds.map_batches(explode, batch_format="pyarrow"), ["line", "spread"],
         resolve, {"_id": pa.int64(), "line_idx": pa.int64(),
                   "line": pa.string(), "keep": pa.bool_()}, n_coarse)
     return nonempty_or_typed_table(
-        keyed_stage(resolved, ["_id"], reassemble, schema, ncd), schema)
+        keyed_exchange(resolved, ["_id"], reassemble, schema, ncd), schema)
 
 
 SENTENCE_MARK = "\x01"
@@ -1803,14 +1803,14 @@ def _per_doc_ratio(windows, resolve, id_col: str, names: "list[str]",
             # IEEE double division — bit-matches the oracle's nd*1.0/nw
             names[2]: hit.astype(np.float64) / n.astype(np.float64)})
 
-    partials = keyed_stage(
+    partials = keyed_exchange(
         windows, ["h1", "h2"], resolve,
         {"_id": pa.int64(), "n_part": pa.int64(), "n_hit_part": pa.int64()},
         n_coarse)
     schema = {id_col: pa.int64(), names[0]: pa.int64(),
               names[1]: pa.int64(), names[2]: pa.float64()}
     return nonempty_or_typed_table(
-        keyed_stage(partials, ["_id"], per_doc, schema, ncd), schema)
+        keyed_exchange(partials, ["_id"], per_doc, schema, ncd), schema)
 
 
 def _doc_partials(ids: np.ndarray, cnt: np.ndarray,
@@ -1930,11 +1930,11 @@ def _span_removal_dedup(ds, explode, rebuild, out_schema: dict,
         return pa.table({c: pa.array(v, out_schema[c])
                          for c, v in zip(names, cols)})
 
-    rem = keyed_stage(ds.map_batches(explode, batch_format="pyarrow"),
-                      ["h1", "h2"], removals,
-                      {"_id": pa.int64(), "off": pa.int64(),
-                       "text": pa.string()}, n_coarse)
-    out = keyed_stage(
+    rem = keyed_exchange(ds.map_batches(explode, batch_format="pyarrow"),
+                         ["h1", "h2"], removals,
+                         {"_id": pa.int64(), "off": pa.int64(),
+                          "text": pa.string()}, n_coarse)
+    out = keyed_exchange(
         ds.map_batches(doc_rows, batch_format="pyarrow").union(rem),
         ["_id"], reassemble, out_schema, ncd)
     return nonempty_or_typed_table(out, out_schema)

@@ -1,5 +1,5 @@
-"""The keyed exchange every grouped shuffle of the dedup and join layers
-rides, and the typed-empty guards around it.
+"""The keyed exchange every grouped shuffle of the dedup, join and
+link-graph layers rides.
 
 ``keyed_exchange(ds, keys, group_fn, out_schema, n_coarse)`` co-locates
 every row sharing a value of ``keys`` and hands each coarse bucket to
@@ -10,17 +10,20 @@ every row sharing a value of ``keys`` and hands each coarse bucket to
   and boolean keys route by value (null → 0), and several key columns fold
   through one fixed mix, ``h·1000003 + v`` in wrapping int64; the bucket
   is ``h % n_coarse``. Nothing depends on ``PYTHONHASHSEED``;
-- the group call: ``groupby(bucket).map_groups(..., batch_format=
-  "pyarrow")``. Groups are coarse — buckets, not keys — so a group
-  function resolves exact keys itself and must not care which other keys
-  share its bucket;
-- the empty case: every group output is cast to ``out_schema`` and a typed
-  empty table is unioned in, so the result is a Dataset whose ``schema()``
-  is ``out_schema`` even when no group ran. ``keyed_stage`` is the same
-  exchange without that union, for a stage whose output only feeds the
-  next stage of one operator.
+- the task exchange: ``ds`` runs once. One split task per input block
+  cuts it into ``n_out = min(n_coarse, blocks)`` parts, part ``p``
+  holding the ``p``-th of ``n_out`` equal bucket ranges, keeping row
+  order; one reduce task per part concatenates its parts in block order,
+  stable-sorts them on the bucket and calls ``group_fn`` once per bucket.
+  A bucket's table thus holds its rows in input order, and the result
+  holds the group outputs in bucket order. Groups are coarse — buckets,
+  not keys — so a group function resolves exact keys itself and must not
+  care which other keys share its bucket;
+- the empty case: every group output is cast to ``out_schema``. The result
+  holds the reduce outputs that have rows, or one typed empty block when
+  none has, so its ``schema()`` is ``out_schema`` either way.
 
-Grouping on a coarse bucket instead of the exact key cuts Ray's per-group
+Grouping on a coarse bucket instead of the exact key cuts the per-group
 dispatch from one call per key to at most ``n_coarse`` calls, with
 identical results: all rows of one exact key land in one bucket.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import ray
 
 from .. import str_hash
 
@@ -58,8 +62,7 @@ def _route(batch: pa.Table, keys: "list[str]", n_coarse: int) -> np.ndarray:
 
 
 def typed_empty(out_schema) -> pa.Table:
-    return pa.table({n: pa.array([], t) for n, t in
-                     zip(out_schema.names, out_schema.types)})
+    return _as_schema(out_schema).empty_table()
 
 
 def _as_schema(cols) -> pa.Schema:
@@ -68,43 +71,66 @@ def _as_schema(cols) -> pa.Schema:
     return pa.schema(list(cols.items()))
 
 
+@ray.remote(num_cpus=1)
+def _split(block, keys: "list[str]", n_coarse: int, n_out: int):
+    """One input block → ``n_out`` parts by bucket range, each with its
+    ``_ROUTE`` column and in block order."""
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    route = _route(t, keys, n_coarse)
+    t = t.append_column(_ROUTE, pa.array(route))
+    if n_out == 1:
+        return t
+    part = route * n_out // n_coarse
+    t = t.take(np.argsort(part, kind="stable"))
+    sizes = np.bincount(part, minlength=n_out)
+    return [t.slice(e - n, n) for e, n in zip(np.cumsum(sizes), sizes)]
+
+
+@ray.remote(num_cpus=1, num_returns=2)
+def _reduce(group_fn, schema: pa.Schema, *parts):
+    """(table, rows): ``group_fn`` once per bucket of the concatenated
+    parts, outputs cast to ``schema``."""
+    t = pa.concat_tables(parts, promote_options="default")
+    route = t[_ROUTE].to_numpy()
+    t = t.drop_columns([_ROUTE]).take(np.argsort(route, kind="stable"))
+    sizes = np.unique(route, return_counts=True)[1]
+    outs = [group_fn(t.slice(e - n, n)).select(schema.names).cast(schema)
+            for e, n in zip(np.cumsum(sizes), sizes)]
+    out = pa.concat_tables(outs) if outs else typed_empty(schema)
+    return out, out.num_rows
+
+
 def keyed_exchange(ds, keys: "list[str]", group_fn, out_schema,
                    n_coarse: "int | None" = None):
     """Group ``ds`` on the coarse bucket of ``keys`` and run ``group_fn``
     once per bucket. ``group_fn`` gets a ``pa.Table`` holding the input
     columns and returns a ``pa.Table`` with the columns of ``out_schema``
-    (a ``pa.Schema`` or a ``{name: type}`` dict), in any order. Returns a
-    Dataset whose schema is ``out_schema``, also when no group ran."""
-    schema = _as_schema(out_schema)
-    return _typed_empty_union(
-        keyed_stage(ds, keys, group_fn, schema, n_coarse), schema)
+    (a ``pa.Schema`` or a ``{name: type}`` dict), in any order. Runs
+    ``ds`` and returns a materialized Dataset whose schema is
+    ``out_schema``, also when no group ran."""
+    import ray.data
 
-
-def keyed_stage(ds, keys: "list[str]", group_fn, out_schema,
-                n_coarse: "int | None" = None):
-    """keyed_exchange without the typed empty block, for a stage whose
-    output feeds another stage of the same operator. The next stage's
-    routing map then fuses into this stage's group tasks (the union would
-    add a task per block), and no empty block reaches a map: Ray hands
-    an empty block to no map function and forwards it schema-less, which
-    draws a schema-mismatch warning when it follows typed blocks."""
     schema = _as_schema(out_schema)
     nc = n_coarse or N_COARSE
-    keys = list(keys)
-
-    def add_route(batch: pa.Table) -> pa.Table:
-        return batch.append_column(_ROUTE, pa.array(_route(batch, keys, nc)))
-
-    def run(group: pa.Table) -> pa.Table:
-        return group_fn(group.drop_columns([_ROUTE])) \
-            .select(schema.names).cast(schema)
-
-    # one bucket: map_groups without a key takes the rows as one partition;
-    # a sort on the constant bucket would leave every reducer but one
-    # empty, and Ray forwards an empty sort partition as a schema-less block
-    return (ds.map_batches(add_route, batch_format="pyarrow")
-            .groupby(_ROUTE if nc > 1 else None)
-            .map_groups(run, batch_format="pyarrow"))
+    blocks = [ref for bundle in ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    if not blocks:
+        return ray.data.from_arrow(typed_empty(schema))
+    n_out = min(nc, len(blocks))
+    split = _split.options(num_returns=n_out)
+    parts = [split.remote(b, list(keys), nc, n_out) for b in blocks]
+    if n_out == 1:
+        parts = [[p] for p in parts]
+    fn = ray.put(group_fn)
+    outs = [_reduce.remote(fn, schema, *(p[i] for p in parts))
+            for i in range(n_out)]
+    rows = ray.get([n for _, n in outs])
+    held = [t for (t, _), n in zip(outs, rows) if n]
+    if not held:
+        return ray.data.from_arrow(typed_empty(schema))
+    return ray.data.from_arrow_refs(held)
 
 
 def nonempty_or_typed_table(ds, cols: "dict[str, pa.DataType]"):
@@ -115,14 +141,5 @@ def nonempty_or_typed_table(ds, cols: "dict[str, pa.DataType]"):
     ``pa.Table`` so consumers still see the documented columns."""
     m = ds.materialize()
     if m.count() == 0:
-        return typed_empty(_as_schema(cols))
+        return typed_empty(cols)
     return m
-
-
-def _typed_empty_union(ds, cols):
-    """Union a typed empty table into ``ds`` so an all-empty result keeps
-    its documented schema (groupby().map_groups over zero rows otherwise
-    returns a schema-less dataset that breaks downstream sorts)."""
-    import ray.data
-
-    return ray.data.from_arrow(typed_empty(_as_schema(cols))).union(ds)

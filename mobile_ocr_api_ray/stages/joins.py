@@ -58,6 +58,9 @@ def hash_join(left, right, left_key: str, right_key: str,
         raise ValueError(f"unsupported join type: {how}")
     if salt < 1:
         raise ValueError("salt must be >= 1")
+    # run both sides once: their schemas then come from block metadata
+    # rather than from a limit(1) run of each lazy input
+    left, right = left.materialize(), right.materialize()
     left_schema = left.schema()
     right_schema = right.schema()
     left_cols = list(left_schema.names)
@@ -75,6 +78,7 @@ def hash_join(left, right, left_key: str, right_key: str,
         # carry the right key string through the shuffle for the exact
         # equality verification after the hash match
         right_cols = right_cols + ["__rkeystr"]
+    left_types = dict(zip(left_schema.names, left_schema.types))
     right_types = {c: right_schema.types[right_schema.names.index(c)]
                    for c in right_cols if c != "__rkeystr"}
     if str_keys:
@@ -90,20 +94,11 @@ def hash_join(left, right, left_key: str, right_key: str,
         from ..str_hash import crc32_of_strings
         return crc32_of_strings(col, null_value=-1)
 
-    # tagged union: one uniform schema; each side contributes padding for
-    # the other side's columns. kind 0 = left (probe), kind 1 = right
-    # (build). Integer/boolean columns pad with a 0/False SENTINEL, not
-    # nulls: Ray's sort shuffle converts a nullable int column to float64
-    # in transit, which would corrupt REAL values above 2^53 column-wide.
-    # Padding values are never read — merge_partition takes left columns
+    # tagged union: one uniform schema; each side pads the other side's
+    # columns with typed nulls. kind 0 = left (probe), kind 1 = right
+    # (build). Padding is never read — merge_partition takes left columns
     # only from kind-0 rows and right columns only from kind-1 rows, and
-    # outer-join nulls are constructed fresh after the shuffle.
-    def _pad(n: int, ty: pa.DataType) -> pa.Array:
-        if pa.types.is_integer(ty):
-            return pa.array(np.zeros(n, np.int64)).cast(ty)
-        if pa.types.is_boolean(ty):
-            return pa.array(np.zeros(n, bool))
-        return pa.array([None] * n, ty)
+    # outer-join nulls are constructed fresh after the exchange.
 
     def tag_left(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -117,7 +112,7 @@ def hash_join(left, right, left_key: str, right_key: str,
         for c in left_cols:
             cols[c] = batch[c]
         for c in right_cols:
-            cols[c] = _pad(n, right_types[c])
+            cols[c] = pa.nulls(n, right_types[c])
         return pa.table(cols)
 
     def tag_right(batch: pa.Table) -> pa.Table:
@@ -138,16 +133,10 @@ def hash_join(left, right, left_key: str, right_key: str,
         cols = {"__kind": pa.array(np.ones(n, np.int8)),
                 "__key": pa.array(key)}
         for c in left_cols:
-            cols[c] = _pad(n, left_schema.types[left_schema.names.index(c)])
+            cols[c] = pa.nulls(n, left_types[c])
         for c in right_cols:
             cols[c] = tbl[c]
         return pa.table(cols)
-
-    out_cols = left_cols + right_cols
-
-    expected_types = {c: left_schema.types[left_schema.names.index(c)]
-                      for c in left_cols}
-    expected_types.update(right_types)
 
     def merge_partition(tbl: pa.Table) -> pa.Table:
         # PURE-ARROW merge: a pandas round-trip would corrupt types (the
@@ -155,21 +144,6 @@ def hash_join(left, right, left_key: str, right_key: str,
         # tensor extensions), and acero's Table.join rejects list payloads —
         # so match keys with numpy searchsorted and materialize rows with
         # arrow take (any payload type, many-to-many expansion).
-        import pyarrow.compute as pc
-
-        # Ray's groupby sort-shuffle widens NULLABLE int columns to double
-        # in transit. The tag functions keep padded columns null-free
-        # (sentinel 0/False), so in the common case nothing widens and
-        # this cast is a no-op. It remains as the net for int columns with
-        # GENUINE source nulls, which still ride as float64: the cast
-        # restores the dtype and nulls exactly, but values above 2^53 in
-        # such a column were already rounded by the widening — exactness
-        # there requires a null-free source column.
-        for i, c in enumerate(tbl.column_names):
-            want = expected_types.get(c)
-            if want is not None and tbl.schema.field(i).type != want:
-                tbl = tbl.set_column(i, c, pc.cast(tbl[c], want))
-
         kind = tbl["__kind"]
         lhs = tbl.filter(pc.equal(kind, 0))
         rhs = tbl.filter(pc.equal(kind, 1))
@@ -219,7 +193,7 @@ def hash_join(left, right, left_key: str, right_key: str,
 
     tagged = (left.map_batches(tag_left, batch_format="pyarrow")
               .union(right.map_batches(tag_right, batch_format="pyarrow")))
-    out_schema = {c: expected_types[c] for c in out_cols
-                  if c != "__rkeystr"}
+    out_schema = {**left_types, **right_types}
+    out_schema.pop("__rkeystr", None)
     return keyed_exchange(tagged, ["__key"], merge_partition, out_schema,
                           n_coarse)

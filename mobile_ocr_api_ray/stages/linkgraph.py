@@ -19,9 +19,8 @@ Scale notes (100 TB):
 - the host graph after rollup is ~|hosts|² sparse — orders of magnitude
   smaller than the corpus — so the score rounds move edge and score rows,
   never pages;
-- every grouped exchange is one ``exchange.keyed_exchange`` (or
-  ``keyed_stage``) call: coarse buckets, exact keys resolved inside the
-  group function.
+- every grouped exchange is one ``exchange.keyed_exchange`` call: coarse
+  buckets, exact keys resolved inside the group function.
 
 Iterated scores. Each of ``pagerank``, ``pagerank_int``, ``hits`` and
 ``hits_int`` has two forms. At or below ``local_edges_max`` edges
@@ -42,9 +41,9 @@ every score column of the op. Each half-step:
      with the local forms' own call: rows sorted by (to, from, c), then
      pandas' groupby sum;
   3. one scalar total through a fixed 64-bucket tree: bucket =
-     crc32(node) % 64, a node-sorted ``Series.sum()`` per bucket, buckets
-     folded in index order by the caller. Only 64 numbers reach the
-     calling process;
+     crc32(node) % 64, a node-sorted ``Series.sum()`` per bucket in one
+     Ray task over the score blocks, buckets folded in index order by the
+     caller. Only 64 numbers reach the calling process;
   4. a per-node finish sets the written score column.
 Every float sum is taken by the same call over the same rows in the same
 order as in the local form, so local ≡ distributed bit for bit, and no
@@ -62,11 +61,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..str_hash import str_coarse
 from .crawl import host_of
-from .exchange import (N_COARSE, keyed_exchange, keyed_stage,
-                       nonempty_or_typed_table)
+from .exchange import N_COARSE, keyed_exchange, nonempty_or_typed_table
 from .html_extract import _DROP_ELEMENTS, _visible_text
 
 _ANCHOR_HREF = re.compile(
@@ -202,29 +201,30 @@ class _Step(NamedTuple):
     finish: Callable
 
 
-def _tree_total(scores, col: str, dangling: bool, dtype: pa.DataType):
+@ray.remote(num_cpus=1)
+def _bucket_sums(refs, col: str, dangling: bool) -> "list":
+    """The per-bucket sums of ``_tree_total``, in bucket order, over the
+    score blocks ``refs`` (fetched inside the task, as in
+    ``recipe._sorted_ids_task``: the table is node-sized)."""
+    t = pa.concat_tables(ray.get(list(refs)))
+    df = pd.DataFrame({"node": t["node"].to_numpy(),
+                       "v": t[col].to_numpy(),
+                       "b": str_coarse(t["node"], _DANGLING_BUCKETS)})
+    if dangling:
+        df = df[t["w"].to_numpy() == 0]
+    df = df.sort_values(["b", "node"], kind="mergesort")
+    return [grp["v"].sum().item() for _, grp in df.groupby("b", sort=True)]
+
+
+def _tree_total(scores, col: str, dangling: bool):
     """Σ ``col`` over the score rows (only those with out_w == 0 when
     ``dangling``) through the fixed 64-bucket tree of the local forms:
     bucket = crc32(node) % 64, a node-sorted ``Series.sum()`` per bucket,
-    buckets folded in index order by the caller."""
-
-    def bucket_sums(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"node": t["node"].to_numpy(),
-                           "v": t[col].to_numpy(),
-                           "b": str_coarse(t["node"], _DANGLING_BUCKETS)})
-        if dangling:
-            df = df[t["w"].to_numpy() == 0]
-        df = df.sort_values(["b", "node"], kind="mergesort")
-        sums = [(b, grp["v"].sum()) for b, grp in df.groupby("b", sort=True)]
-        return pa.table({"b": pa.array([b for b, _ in sums], pa.int32()),
-                         "t": [s for _, s in sums]})
-
-    rows = keyed_stage(scores, ["node"], bucket_sums,
-                       {"b": pa.int32(), "t": dtype}, _DANGLING_BUCKETS) \
-        .take_all()
+    buckets folded in index order."""
     total = 0
-    for r in sorted(rows, key=lambda r: r["b"]):
-        total += r["t"]
+    for s in ray.get(_bucket_sums.remote(scores.to_arrow_refs(), col,
+                                         dangling)):
+        total += s
     return total
 
 
@@ -248,10 +248,9 @@ def _propagate(edges, n_coarse, n_iter: int, dtype: pa.DataType,
             pa.table({"node": b["dst"],
                       "w": pa.array(np.zeros(b.num_rows, np.int64))})]))
 
-    nodes = keyed_stage(edges.map_batches(endpoints, batch_format="pyarrow"),
-                        ["node"], out_weights,
-                        {"node": pa.string(), "w": pa.int64()}, nc) \
-        .materialize()
+    nodes = keyed_exchange(
+        edges.map_batches(endpoints, batch_format="pyarrow"), ["node"],
+        out_weights, {"node": pa.string(), "w": pa.int64()}, nc)
     n = nodes.count()
     start = init(n)
     # one row schema for the whole loop: a score row (node, null peer,
@@ -308,12 +307,12 @@ def _propagate(edges, n_coarse, n_iter: int, dtype: pa.DataType,
         for step in steps:
             links = edge_rows(*(("src", "dst") if step.forward
                                 else ("dst", "src")))
-            summed = keyed_stage(
-                keyed_stage(links.union(scores), ["node"], pair(step),
-                            schema, nc),
-                ["node"], gather, schema, nc).materialize()
+            summed = keyed_exchange(
+                keyed_exchange(links.union(scores), ["node"], pair(step),
+                               schema, nc),
+                ["node"], gather, schema, nc)
             total = _tree_total(summed, step.read if step.dangling else "s",
-                                step.dangling, dtype)
+                                step.dangling)
             scores = summed.map_batches(finish(step, total),
                                         batch_format="pyarrow")
     return scores.map_batches(lambda b: b.select(["node", *start]),

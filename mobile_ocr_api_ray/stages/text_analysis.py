@@ -24,6 +24,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import keyed_exchange
+
 # small fixed stopword subsets used by quality scoring / language ID —
 # deliberately small so the SQL oracle regex stays manageable.
 QUALITY_STOPWORDS = (
@@ -192,7 +194,7 @@ def tfidf_top_terms(ds, n_docs: int, id_col: str = "doc_id",
        words' df) — word-keyed co-partitioned shuffle, both sides
        corpus-scale (the broadcast alternative dies at web-scale
        vocabularies);
-    4. per-doc top-k via coarse doc-key groupby, tie-break
+    4. per-doc top-k in one keyed exchange on the doc id, tie-break
        (tfidf desc, word asc).
 
     ``n_docs`` is the corpus document count (exact, from parquet metadata —
@@ -248,26 +250,22 @@ def tfidf_top_terms(ds, n_docs: int, id_col: str = "doc_id",
     joined = hash_join(tokens, df_tbl, "word", "dfword", how="inner",
                        n_coarse=n_coarse)
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        d = batch[id_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "coarse", pa.array((d % n_coarse).astype(np.int32)))
+    def topk(t: pa.Table) -> pa.Table:
+        tfidf = t["tf"].to_numpy() * np.log(n_docs / t["df"].to_numpy())
+        t = t.append_column("tfidf", pa.array(tfidf)).sort_by(
+            [(id_col, "ascending"), ("tfidf", "descending"),
+             ("word", "ascending")])
+        ids = t[id_col].to_numpy()
+        pos = np.arange(len(ids))
+        first = np.maximum.accumulate(
+            np.where(np.diff(ids, prepend=ids[:1] - 1) != 0, pos, 0))
+        rank = pos - first + 1
+        return t.append_column("rank", pa.array(rank)) \
+            .filter(pa.array(rank <= k))
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(tfidf=g["tf"].to_numpy()
-                     * np.log(n_docs / g["df"].to_numpy()))
-        g = g.sort_values([id_col, "tfidf", "word"],
-                          ascending=[True, False, True])
-        g = g.assign(rank=g.groupby(id_col).cumcount() + 1)
-        g = g[g["rank"] <= k]
-        return g[[id_col, "rank", "word", "tf", "df", "tfidf"]]
-
-    from .exchange import _typed_empty_union
-
-    out = (joined.map_batches(add_coarse, batch_format="pyarrow")
-           .groupby("coarse").map_groups(topk, batch_format="pandas"))
-    # schema guard for all-empty results (the documented erosion trap)
-    return _typed_empty_union(out, out_schema)
+    # the bucket of an int key is id % n_coarse: one group per coarse
+    # doc bucket, every doc's words in one group
+    return keyed_exchange(joined, [id_col], topk, out_schema, n_coarse)
 
 
 # ------------------------------------------------------- sequence packing
@@ -897,17 +895,16 @@ def gram_novelty(ds, id_col: str = "doc_id", text_col: str = "text",
        (doc, gram) occurs once globally, so partial sums are exact);
     3. groupby(gram) → (df = Count, owner = Min(doc_id)); rows with
        df == 1 reduce to per-owner novel counts in-batch;
-    4. both partial streams union into ONE bounded per-doc groupby Sum —
+    4. both partial streams union into ONE per-doc keyed exchange sum —
        gram strings cross the wire exactly once (the df exchange).
 
     Docs with no words emit no row (they have no grams) — the SQL oracle
     groups over the same gram rows, so both sides agree. Returns
     (doc_id, n_grams, n_novel) sorted by doc_id."""
     import ray.data
-    from ray.data.aggregate import Count, Min, Sum
+    from ray.data.aggregate import Count, Min
 
     from .dedup import ngram_set
-    from .exchange import _typed_empty_union
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -952,10 +949,15 @@ def gram_novelty(ds, id_col: str = "doc_id", text_col: str = "text",
     partials = (grams.map_batches(per_doc_partial, batch_format="pyarrow")
                 .union(df_tbl.map_batches(novel_partial,
                                           batch_format="pyarrow")))
-    agg = (partials.groupby(id_col)
-           .aggregate(Sum("n_grams", alias_name="n_grams"),
-                      Sum("n_novel", alias_name="n_novel")))
-    return _typed_empty_union(agg, out_schema).sort(id_col)
+
+    def per_doc(t: pa.Table) -> pa.Table:
+        g = t.group_by(id_col).aggregate([("n_grams", "sum"),
+                                          ("n_novel", "sum")])
+        return pa.table({id_col: g[id_col], "n_grams": g["n_grams_sum"],
+                         "n_novel": g["n_novel_sum"]})
+
+    return keyed_exchange(partials, [id_col], per_doc,
+                          out_schema).sort(id_col)
 
 
 # ------------------------------------- hashed-ngram target affinity (DSIR)
