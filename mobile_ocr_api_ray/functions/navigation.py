@@ -12,6 +12,8 @@ indexing.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def clamp_index(index: int, total: int) -> int:
     """F7 — clamp a navigation index into [0, total-1] (app.py:1500-1505).
@@ -39,17 +41,28 @@ def navigate(total: int, current: int, action: str, target: int | None = None) -
     raise ValueError(f"unknown navigation action: {action!r}")
 
 
+# F8 actions (app.py:980-1007), in the reference's order and wording
+ACTIONS = (
+    {"type": "read_by_paragraph", "description": "Read paragraph by paragraph"},
+    {"type": "read_by_column", "description": "Read column by column"},
+    {"type": "summarize", "description": "Read summary of text"},
+    {"type": "read_full", "description": "Read full text"},
+)
+
+
+def action_flags(num_paragraphs, num_columns, total_sentences) -> np.ndarray:
+    """F8 over arrays of rows: ``[..., j]`` is whether the row suggests
+    ``ACTIONS[j]``."""
+    num_paragraphs = np.asarray(num_paragraphs)
+    return np.stack([num_paragraphs > 1, np.asarray(num_columns) > 1,
+                     np.asarray(total_sentences) > 5,
+                     np.ones(num_paragraphs.shape, bool)], axis=-1)
+
+
 def suggested_actions(num_paragraphs: int, num_columns: int, total_sentences: int) -> list[dict]:
     """F8 — suggested-actions rule (app.py:980-1007), exact order and wording."""
-    actions: list[dict] = []
-    if num_paragraphs > 1:
-        actions.append({"type": "read_by_paragraph", "description": "Read paragraph by paragraph"})
-    if num_columns > 1:
-        actions.append({"type": "read_by_column", "description": "Read column by column"})
-    if total_sentences > 5:
-        actions.append({"type": "summarize", "description": "Read summary of text"})
-    actions.append({"type": "read_full", "description": "Read full text"})
-    return actions
+    flags = action_flags(num_paragraphs, num_columns, total_sentences).tolist()
+    return [dict(a) for a, on in zip(ACTIONS, flags) if on]
 
 
 def structure_view(extracted_text: str, spans, paragraphs) -> list[dict]:

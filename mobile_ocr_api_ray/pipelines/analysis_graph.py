@@ -23,7 +23,6 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Sum
 
 from .. import corpus, str_hash
-from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
 from ..stages import crawl, dedup, exchange, similarity, text_analysis
 from . import reads

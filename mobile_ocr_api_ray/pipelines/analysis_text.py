@@ -23,10 +23,10 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Sum
 
 from .. import corpus, str_hash
-from ..functions.textproc import compression_ratio, summarize
 from ..hashing import hash32 as _hash32
 from ..stages import crawl, dedup, exchange, similarity, text_analysis
 from . import reads
+from .extract import summary_columns
 
 from .analysis_common import (DOUBLE_OFFSET, _docs, _coarse_hint_for, _docs_coarse_hint, _doubled_docs, _WORD_TOKEN_RE, SPLIT_PCT, LINE_WIDTH, _chunked_text, _embeddings, _doubled_embeddings, _doubled_clone_pairs, _pages_dir_for, _corpus_rows, _hash_keep, _pages_coarse_hint)  # noqa: F401
 
@@ -73,16 +73,9 @@ def summarize_docs(sf_dir: str):
     """Extractive summary (F4, v2 semantics: ratio 0.3, max 5 sentences,
     30-word gate app2.py:1336/1446) over every document."""
     def s(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        sums, ratios = [], []
-        for t in texts:
-            t = t or ""
-            out = t if len(t.split()) < 30 else summarize(t, 0.3, 5)
-            sums.append(out)
-            ratios.append(compression_ratio(out, t))
-        return pa.table({"doc_id": batch["doc_id"],
-                         "summary": pa.array(sums, pa.string()),
-                         "compression_ratio": pa.array(ratios, pa.float64())})
+        summaries, ratios = summary_columns([t or "" for t in batch["text"].to_pylist()])
+        return pa.table({"doc_id": batch["doc_id"], "summary": summaries,
+                         "compression_ratio": ratios})
     return _docs(sf_dir, ["doc_id", "text"]).map_batches(
         s, batch_format="pyarrow").sort("doc_id")
 

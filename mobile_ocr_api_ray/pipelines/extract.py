@@ -26,11 +26,11 @@ import functools
 import hashlib
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.textproc import compression_ratio, summarize
-from ..schema import EXTRACTED_SCHEMA
+from ..functions.textproc import compression_ratio, summarize_all
 from ..stages.extractor import ExtractorActor
 
 SUMMARY_MIN_WORDS = 30       # app2.py:1336: len(text.split()) < 30 → too short
@@ -38,34 +38,35 @@ SUMMARY_RATIO = 0.3          # app2.py:1447
 SUMMARY_MAX_SENTENCES = 5    # app2.py:1447: "Max 5 kalimat untuk mobile"
 
 
-def summarize_batch(batch: pa.Table) -> pa.Table:
-    """Stateless summary stage (v2 semantics, canonical per SURVEY.md D3).
+def summary_columns(texts: list[str | None]) -> tuple[pa.Array, pa.Array]:
+    """Summary and compression ratio of each text (v2 semantics, canonical
+    per SURVEY.md D3): < 30 words → summary = text verbatim
+    (app2.py:1336-1342), else the extractive summary (F4, one batch for all
+    texts); compression_ratio = len(summary)/len(text) with 0 on empty
+    (app2.py:1351). A null text has a null summary and ratio."""
+    # = len(text.split()) >= SUMMARY_MIN_WORDS, without splitting past the
+    # word that decides it
+    long = [i for i, t in enumerate(texts) if t is not None
+            and len(t.split(None, SUMMARY_MIN_WORDS)) >= SUMMARY_MIN_WORDS]
+    summaries = list(texts)
+    for i, s in zip(long, summarize_all([texts[i] for i in long], SUMMARY_RATIO,
+                                        SUMMARY_MAX_SENTENCES)):
+        summaries[i] = s
+    ratios = [None if t is None else compression_ratio(s, t)
+              for s, t in zip(summaries, texts)]
+    return pa.array(summaries, pa.string()), pa.array(ratios, pa.float64())
 
-    For ok rows: < 30 words → summary = text verbatim (app2.py:1336-1342),
-    else extractive summary (F4). compression_ratio = len(summary)/len(text)
-    with 0 on empty (app2.py:1351). Non-ok rows keep null summary.
-    """
-    texts = batch["extracted_text"].to_pylist()
-    statuses = batch["status"].to_pylist()
-    summaries: list[str | None] = []
-    ratios: list[float | None] = []
-    for text, status in zip(texts, statuses):
-        if status != "ok" or text is None:
-            summaries.append(None)
-            ratios.append(None)
-            continue
-        # = len(text.split()) < SUMMARY_MIN_WORDS, without splitting past
-        # the word that decides it
-        if len(text.split(None, SUMMARY_MIN_WORDS)) < SUMMARY_MIN_WORDS:
-            s = text
-        else:
-            s = summarize(text, SUMMARY_RATIO, SUMMARY_MAX_SENTENCES)
-        summaries.append(s)
-        ratios.append(compression_ratio(s, text))
+
+def summarize_batch(batch: pa.Table) -> pa.Table:
+    """Stateless summary stage: ``summary_columns`` of the ok rows' text;
+    non-ok rows keep null summary."""
+    texts = [t if status == "ok" else None for t, status in
+             zip(batch["extracted_text"].to_pylist(), batch["status"].to_pylist())]
+    summaries, ratios = summary_columns(texts)
     i_s = batch.column_names.index("summary")
     i_r = batch.column_names.index("compression_ratio")
-    batch = batch.set_column(i_s, "summary", pa.array(summaries, pa.string()))
-    return batch.set_column(i_r, "compression_ratio", pa.array(ratios, pa.float64()))
+    batch = batch.set_column(i_s, "summary", summaries)
+    return batch.set_column(i_r, "compression_ratio", ratios)
 
 
 # Extraction batches are whole BLOCKS (batch_size=None): with no explicit
@@ -156,27 +157,27 @@ def extract_pipeline_dedup(ds: "ray.data.Dataset", quality: str = "medium",
 
     def extract_coarse(group: pa.Table) -> pa.Table:
         ex = _worker_extractor(quality, build_spans)
-        digests = group["digest"].to_pylist()
         urls = group["url"].to_pylist()
-        langs = group["lang"].to_pylist()
-        texts = group["text"].to_pylist()
-        payloads = group["html"].to_pylist()
         by_digest: dict[str, list[int]] = {}
-        for i, d in enumerate(digests):
+        for i, d in enumerate(group["digest"].to_pylist()):
             by_digest.setdefault(d, []).append(i)
-        rows = []
-        for d, members in by_digest.items():
-            order = sorted(members, key=lambda i: urls[i])
-            rep = order[0]
-            rep_row = ex.extract_row(urls[rep], payloads[rep], texts[rep], langs[rep])
-            for i in order:
-                r = dict(rep_row)
-                r["url"] = urls[i]
-                if i != rep:
-                    r["dedup_source_url"] = urls[rep]
-                    r["source"] = "dedup" if r["source"] == "kernel" else r["source"]
-                rows.append(r)
-        return pa.Table.from_pylist(rows, schema=EXTRACTED_SCHEMA)
+        reps, take, order, dup_of = [], [], [], []
+        for members in by_digest.values():
+            members = sorted(members, key=urls.__getitem__)
+            rep = members[0]
+            take += [len(reps)] * len(members)
+            order += members
+            dup_of += [None] + [urls[rep]] * (len(members) - 1)
+            reps.append(rep)
+        out = ex(group.select(["url", "html", "text", "lang"]).take(reps)).take(take)
+        is_dup = pc.is_valid(pa.array(dup_of, pa.string()))
+        source = pc.if_else(pc.and_(is_dup, pc.equal(out["source"], "kernel")),
+                            "dedup", out["source"])
+        for name, col in (("url", pa.array([urls[i] for i in order], pa.string())),
+                          ("dedup_source_url", pa.array(dup_of, pa.string())),
+                          ("source", source)):
+            out = out.set_column(out.schema.get_field_index(name), name, col)
+        return out
 
     with_keys = ds.map_batches(add_keys, batch_format="pyarrow")
     out = with_keys.groupby("coarse").map_groups(extract_coarse, batch_format="pyarrow")

@@ -7,7 +7,8 @@ re-expression of the reference's module-global engine configuration
 (app.py:240-251, app2.py:50-58). ``pipelines.extract`` holds one instance
 per worker process and calls it from plain Ray tasks.
 
-Per row, it reproduces the reference request lifecycle as data:
+Per row, it reproduces the reference request lifecycle as data, and builds
+its output table column by column:
 
 1. payload-kind sniff — magic bytes instead of filename extension
    (``is_pdf = filename.endswith('.pdf')``, app.py:1143); unknown/empty →
@@ -19,12 +20,14 @@ Per row, it reproduces the reference request lifecycle as data:
 3. kernel dispatch by kind: HTML → text-density/link-density boilerplate
    strip; IMGX → optimize→binarize→deskew→segment→recognize; PDFX → per-
    page image kernel + ordered "\\n\\n" join (app.py:755-791).
-4. structure (M8/F8), eager per row: char-span offsets of every paragraph
-   and sentence into ``extracted_text`` — the only stored copy of the
-   structure text — plus paragraph bounds/columns, column membership and
-   suggested actions. ``functions.navigation.structure_view`` turns the
-   spans back into the reference's nested paragraph/sentence dicts, the
-   navigate-time analysis of app.py:1508-1547.
+4. structure (M8/F8), eager, for all kernel rows of the batch at once:
+   char-span offsets of every paragraph and sentence into
+   ``extracted_text`` — the only stored copy of the structure text — plus
+   paragraph bounds/columns, column membership and suggested actions. It
+   is cached with the kernel result, so a repeated payload builds none.
+   ``functions.navigation.structure_view`` turns the spans back into the
+   reference's nested paragraph/sentence dicts, the navigate-time analysis
+   of app.py:1508-1547.
 5. per-row error isolation (M11): a failing row degrades exactly as the
    reference does — error string in the text field, confidence 0
    (app.py:602) — and never poisons its batch.
@@ -36,14 +39,18 @@ no-evidence fallback · 0.0 error (app.py:593,642,810; BASELINE.md).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 
-from ..functions.navigation import suggested_actions
+from ..functions.navigation import ACTIONS, action_flags
 from ..functions.routing import route_quality
-from ..functions.textproc import split_into_sentences
-from ..schema import EXTRACTED_SCHEMA
+from ..functions.textproc import code_points, sentence_bounds
+from ..schema import (ACTION_TYPE, BOUNDS_TYPE, COLUMN_TYPE, EXTRACTED_SCHEMA,
+                      PARAGRAPH_TYPE, SPAN_TYPE)
 from . import glyphs
 from .html_extract import extract_html
 from .image_extract import extract_image
@@ -67,53 +74,162 @@ def sniff_kind(payload: bytes | None) -> str:
     return "unknown"
 
 
-def build_structure(text: str, paragraph_dicts: list[dict]) -> tuple[list, list, list, list]:
-    """Assemble (paragraphs, columns, spans, actions) for a kernel's
-    ``text`` from its raw paragraph dicts: [{text, x, y, width, height, column}].
+class Structure(NamedTuple):
+    """One row's structure as flat arrays (cached with its kernel result)."""
+    spans: np.ndarray       # (5, n) int64: start, end, para_id, sent_id, column
+    paragraphs: np.ndarray  # (n_para, 5) int32: x, y, width, height, column
+    sentences: int          # sentences of all paragraphs, located or not
 
-    Spans are char offsets into ``text``, one per paragraph and one per
-    sentence (the reference's per-paragraph enumeration, app.py:903-909).
+
+class Layout(NamedTuple):
+    """Where one row's paragraphs sit in the text the structure splits."""
+    text: str               # the kernel's text, or its paragraphs joined
+    starts: list[int]       # paragraph starts in ``text``
+    lengths: list[int]      # paragraph lengths
+    geometry: np.ndarray    # (n_para, 5) int32: x, y, width, height, column
+    located: bool           # the paragraphs were found in the kernel's text
+
+
+# paragraph dict key and default of each geometry column (None: the
+# paragraph's length)
+_GEOMETRY = (("x", 0), ("y", 0), ("width", None), ("height", 1), ("column", 0))
+
+
+def paragraph_layout(text: str, paragraph_dicts: list[dict]) -> Layout:
+    """The per-row half of the structure: where each raw paragraph dict
+    [{text, x, y, width, height, column}] sits in the kernel's ``text``,
+    and its geometry.
+
     Each paragraph is located in ``text`` after the previous one, so the
     separators are whatever the kernel joined with (a blank PDFX page
     leaves "\\n\\n\\n\\n"). If a paragraph cannot be located — a user
     kernel whose text disagrees with its paragraphs — the row keeps no
-    spans. Columns group paragraph ids (app.py:934-944); actions follow F8
-    (app.py:980-1007).
+    spans, and its sentences are counted in the paragraphs themselves.
     """
-    paragraphs, spans = [], []
-    col_members: dict[int, list[int]] = {}
-    cursor = 0
-    located = True
-    total_sentences = 0
-    for pid, p in enumerate(paragraph_dicts):
-        ptext = p["text"]
-        col = int(p.get("column", 0))
-        sentences = split_into_sentences(ptext)
-        total_sentences += len(sentences)
-        start = text.find(ptext, cursor) if located else -1
-        located = start >= 0
-        if located:
-            s_cursor = 0
-            for sid, s in enumerate(sentences):
-                pos = ptext.find(s, s_cursor)
-                spans.append({"kind": "sentence", "start": start + pos,
-                              "end": start + pos + len(s), "para_id": pid,
-                              "sent_id": sid, "column": col})
-                s_cursor = pos + len(s)
-            cursor = start + len(ptext)
-            spans.append({"kind": "paragraph", "start": start, "end": cursor,
-                          "para_id": pid, "sent_id": -1, "column": col})
-        paragraphs.append({
-            "id": pid,
-            "bounds": {"x": int(p.get("x", 0)), "y": int(p.get("y", 0)),
-                       "width": int(p.get("width", len(ptext))),
-                       "height": int(p.get("height", 1))},
-            "column": col,
-        })
-        col_members.setdefault(col, []).append(pid)
-    columns = [{"id": c, "paragraphs": ids} for c, ids in sorted(col_members.items())]
-    actions = suggested_actions(len(paragraphs), len(columns), total_sentences)
-    return paragraphs, columns, spans if located else [], actions
+    if not isinstance(text, str):
+        raise TypeError(f"kernel text is {type(text).__name__}, not str")
+    ptexts = [p["text"] for p in paragraph_dicts]
+    lengths = [len(t) for t in ptexts]
+    geometry = np.empty((len(ptexts), 5), np.int64)
+    for j, (key, default) in enumerate(_GEOMETRY):
+        geometry[:, j] = ([int(p.get(key, n)) for p, n in zip(paragraph_dicts, lengths)]
+                          if default is None else
+                          [int(p.get(key, default)) for p in paragraph_dicts])
+    if geometry.size and not -2**31 <= geometry.min() <= geometry.max() < 2**31:
+        raise OverflowError("paragraph geometry out of int32 range")
+    starts, cursor = [], 0
+    for t in ptexts:
+        cursor = text.find(t, cursor)
+        if cursor < 0:
+            break
+        starts.append(cursor)
+        cursor += len(t)
+    located = len(starts) == len(ptexts)
+    if not located:
+        text = "".join(ptexts)
+        starts = [0, *accumulate(lengths)][:-1]
+    return Layout(text, starts, lengths, geometry.astype(np.int32), located)
+
+
+def build_structures(layouts: list[Layout]) -> list[Structure]:
+    """The batch half of the structure: one F1 pass over every paragraph of
+    every row's ``paragraph_layout``.
+
+    Spans are char offsets into the row's text, for each paragraph its
+    sentences and then the paragraph itself (the reference's per-paragraph
+    enumeration, app.py:903-909); ``sent_id`` is -1 on paragraph spans.
+    """
+    base = np.cumsum([0] + [len(lay.text) for lay in layouts[:-1]])
+    n_para = np.array([len(lay.starts) for lay in layouts], np.int64)
+    para_row = np.repeat(np.arange(len(layouts)), n_para)
+    p_start = np.concatenate([np.asarray(lay.starts, np.int64) for lay in layouts])
+    p_end = p_start + np.concatenate([np.asarray(lay.lengths, np.int64) for lay in layouts])
+    p_base = base[para_row]
+    lo, hi, sent_para = sentence_bounds(code_points("".join(lay.text for lay in layouts)),
+                                        p_start + p_base, p_end + p_base)
+    per_para = np.bincount(sent_para, minlength=p_start.size)
+    column = np.concatenate([lay.geometry[:, 4] for lay in layouts])
+    para_id = np.arange(p_start.size) - (np.cumsum(n_para) - n_para)[para_row]
+    sent_id = np.arange(lo.size) - (np.cumsum(per_para) - per_para)[sent_para]
+
+    span_end = np.cumsum(per_para + 1)
+    is_para = np.zeros(lo.size + p_start.size, bool)
+    is_para[span_end - 1] = True
+    spans = np.empty((5, is_para.size), np.int64)
+    spans[:, ~is_para] = (lo - p_base[sent_para], hi - p_base[sent_para],
+                          para_id[sent_para], sent_id, column[sent_para])
+    spans[:, is_para] = (p_start, p_end, para_id, np.full(p_start.size, -1), column)
+
+    row_bounds = np.concatenate(([0], span_end))[np.cumsum(np.append(0, n_para))]
+    return [Structure(spans[:, a:b].copy() if lay.located else _NO_SPANS, lay.geometry,
+                      b - a - k)
+            for lay, a, b, k in zip(layouts, row_bounds[:-1].tolist(),
+                                    row_bounds[1:].tolist(), n_para.tolist())]
+
+
+_NO_SPANS = np.empty((5, 0), np.int64)
+_SPAN_KINDS = pa.array(["sentence", "paragraph"], pa.string())
+_ACTIONS = pa.array(ACTIONS, ACTION_TYPE)
+
+
+def _list_offsets(lengths) -> pa.Array:
+    return pa.array(np.concatenate(([0], np.cumsum(lengths))), pa.int32())
+
+
+def structure_columns(structures: list[Structure | None]) -> dict[str, pa.Array]:
+    """The ``spans``, ``paragraphs``, ``columns`` and ``suggested_actions``
+    columns of a batch, built column by column from each row's Structure
+    (None: the row has no structure and empty lists). Columns group
+    paragraph ids (app.py:934-944); actions follow F8 (app.py:980-1007)."""
+    have = [s for s in structures if s is not None]
+    n_span = [s.spans.shape[1] if s is not None else 0 for s in structures]
+    n_para = np.array([len(s.paragraphs) if s is not None else 0 for s in structures],
+                      np.int64)
+    spans = np.concatenate([_NO_SPANS] + [s.spans for s in have], axis=1)
+    geo = np.concatenate([np.empty((0, 5), np.int32)] + [s.paragraphs for s in have])
+    span_values = pa.StructArray.from_arrays(
+        [_SPAN_KINDS.take(pa.array((spans[3] < 0).astype(np.int8))),
+         pa.array(spans[0]), pa.array(spans[1])]
+        + [pa.array(spans[i].astype(np.int32)) for i in (2, 3, 4)],
+        fields=list(SPAN_TYPE))
+
+    para_row = np.repeat(np.arange(len(structures)), n_para)
+    para_id = (np.arange(geo.shape[0]) - (np.cumsum(n_para) - n_para)[para_row]).astype(np.int32)
+    bounds = pa.StructArray.from_arrays([pa.array(geo[:, i]) for i in range(4)],
+                                        fields=list(BOUNDS_TYPE))
+    para_values = pa.StructArray.from_arrays(
+        [pa.array(para_id), bounds, pa.array(geo[:, 4])], fields=list(PARAGRAPH_TYPE))
+
+    # one column entry per distinct (row, column), paragraph ids in order
+    order = np.lexsort((geo[:, 4], para_row))
+    key_row, key_col = para_row[order], geo[order, 4]
+    group = np.flatnonzero(np.diff(key_row, prepend=-1) | np.diff(key_col, prepend=-1))
+    col_values = pa.StructArray.from_arrays(
+        [pa.array(key_col[group]),
+         pa.ListArray.from_arrays(_list_offsets(np.diff(np.append(group, order.size))),
+                                  pa.array(para_id[order]))],
+        fields=list(COLUMN_TYPE))
+    n_col = np.bincount(key_row[group], minlength=len(structures))
+
+    flags = action_flags(n_para, n_col, [s.sentences if s is not None else 0
+                                         for s in structures])
+    flags &= np.array([s is not None for s in structures], bool)[:, None]
+    act_values = _ACTIONS.take(pa.array(np.flatnonzero(flags) % len(ACTIONS)))
+
+    def lists(lengths, values, type_):
+        return pa.ListArray.from_arrays(_list_offsets(lengths), values, type=pa.list_(type_))
+
+    return {"spans": lists(n_span, span_values, SPAN_TYPE),
+            "paragraphs": lists(n_para, para_values, PARAGRAPH_TYPE),
+            "columns": lists(n_col, col_values, COLUMN_TYPE),
+            "suggested_actions": lists(flags.sum(axis=1), act_values, ACTION_TYPE)}
+
+
+def build_structure(text: str, paragraph_dicts: list[dict]) -> tuple[list, list, list, list]:
+    """One row's (paragraphs, columns, spans, actions) as lists of dicts."""
+    cols = structure_columns(build_structures([paragraph_layout(text, paragraph_dicts)]))
+    return tuple(cols[name][0].as_py() for name in
+                 ("paragraphs", "columns", "spans", "suggested_actions"))
 
 
 def html_paragraph_dicts(kept_blocks: list[dict]) -> list[dict]:
@@ -170,13 +286,17 @@ register_kernel("pdf", "default", pdf_kernel)
 
 def _result_nbytes(result: tuple) -> int:
     """Deterministic heap-size estimate of a cached kernel result
-    (text, confidence, paragraph_dicts, total_pages): text + paragraph
-    text bytes plus a fixed per-paragraph structure overhead. An estimate
-    is enough — the byte cap bounds order-of-magnitude blowup, not exact
-    accounting."""
+    (text, confidence, paragraph_dicts, total_pages) and the Structure built
+    from it: text + paragraph text bytes plus a fixed per-paragraph
+    overhead, and 40 bytes per span and 20 per paragraph of geometry. A
+    row has at most two spans per paragraph plus one per ``.``, ``!`` or
+    ``?`` of its text (a sentence ends at a terminator or at the end of its
+    paragraph). An estimate is enough — the byte cap bounds
+    order-of-magnitude blowup, not exact accounting."""
     text, _, para_dicts, _ = result
-    return (len(text) + sum(len(p.get("text", "")) + 128
-                            for p in para_dicts) + 256)
+    max_spans = 2 * len(para_dicts) + sum(map(text.count, ".!?"))
+    return (len(text) + sum(len(p.get("text", "")) for p in para_dicts)
+            + 148 * len(para_dicts) + 40 * max_spans + 512)
 
 
 class ExtractorActor:
@@ -227,16 +347,15 @@ class ExtractorActor:
 
     # ---- per-kind kernels ----------------------------------------------
 
-    def _extract_payload(self, payload: bytes, kind: str,
-                         lang: str | None,
-                         config: "str | None" = None
-                         ) -> tuple[str, float, list[dict], int]:
-        """Returns (text, confidence, paragraph_dicts, total_pages); counts a
-        kernel invocation on LRU miss only. ``config`` is the per-row raw
-        config passthrough (reference app.py:567,580-581) — parsed into ctx
-        overrides on top of the quality-routed params, and part of the LRU
-        key (two rows with the same payload but different configs must not
-        share a cached result, the v2 cache-key rule app2.py:330)."""
+    def _cached(self, payload: bytes, kind: str, lang: str | None,
+                config: "str | None" = None) -> "_Entry":
+        """The row's cache entry (kernel result and its Structure);
+        counts a kernel invocation on LRU miss only. ``config`` is the
+        per-row raw config passthrough (reference app.py:567,580-581) —
+        parsed into ctx overrides on top of the quality-routed params, and
+        part of the LRU key (two rows with the same payload but different
+        configs must not share a cached result, the v2 cache-key rule
+        app2.py:330)."""
         import hashlib
 
         from ..functions.routing import parse_kernel_config
@@ -257,79 +376,154 @@ class ExtractorActor:
         if config:
             ctx.update(parse_kernel_config(config))  # bad config raises → M11
         self.kernel_invocations += 1
-        result = self._kernels[kind](payload, ctx)
+        entry = _Entry(self._kernels[kind](payload, ctx))
         if key is not None:
-            self._lru[key] = result
-            self._lru_nbytes += _result_nbytes(result)
+            entry.nbytes = _result_nbytes(entry.result)
+            self._lru[key] = entry
+            self._lru_nbytes += entry.nbytes
             while (len(self._lru) > self.lru_size
                    or (self.lru_bytes and self._lru_nbytes > self.lru_bytes)) \
                     and self._lru:
                 _, old = self._lru.popitem(last=False)
-                self._lru_nbytes -= _result_nbytes(old)
-        return result
+                self._lru_nbytes -= old.nbytes
+        return entry
 
-    def extract_row(self, url: str, payload: bytes | None, text_layer: str | None,
-                    lang: str | None, config: "str | None" = None) -> dict:
-        t0 = time.perf_counter()
-        row = {
-            "url": url, "extracted_text": "", "spans": [], "paragraphs": [],
-            "columns": [], "suggested_actions": [], "total_pages": 0, "page": 0,
-            "confidence": 0.0, "processing_time_ms": 0.0, "summary": None,
-            "compression_ratio": None, "lang": lang or "eng",
-            "quality": self.quality, "payload_kind": "unknown", "source": "kernel",
-            "dedup_source_url": None, "visualization": None,
-            "status": "ok", "error": None,
-        }
+    def _extract_payload(self, payload: bytes, kind: str,
+                         lang: str | None,
+                         config: "str | None" = None
+                         ) -> tuple[str, float, list[dict], int]:
+        """Returns the kernel result (text, confidence, paragraph_dicts,
+        total_pages), from the LRU when it holds it."""
+        return self._cached(payload, kind, lang, config).result
+
+    def _extract(self, payload: bytes | None, text_layer: str | None,
+                 lang: str | None, config: "str | None") -> "_Row":
+        """One row up to its structure."""
+        kind = "unknown"
         try:
             kind = sniff_kind(payload)
-            row["payload_kind"] = kind
             if kind in ("empty", "unknown"):
-                row["status"] = "rejected"
-                row["error"] = "empty payload" if kind == "empty" else "unsupported payload type"
-                row["processing_time_ms"] = (time.perf_counter() - t0) * 1e3
-                return row
-            stripped = (text_layer or "").strip()
-            if len(stripped) > DIRECT_TEXT_MIN_CHARS:
-                row["extracted_text"] = text_layer
-                row["confidence"] = DIRECT_TEXT_CONFIDENCE
-                row["source"] = "direct_text"
-                row["total_pages"] = 1
-                row["processing_time_ms"] = (time.perf_counter() - t0) * 1e3
-                return row
-            text, conf, para_dicts, total_pages = self._extract_payload(
-                payload, kind, lang, config)
-            row["extracted_text"] = text
-            if self.build_spans:
-                paragraphs, columns, spans, actions = build_structure(text, para_dicts)
-                row.update(spans=spans, paragraphs=paragraphs, columns=columns,
-                           suggested_actions=actions)
-            row["confidence"] = conf
-            row["total_pages"] = total_pages
+                error = "empty payload" if kind == "empty" else "unsupported payload type"
+                return _Row("rejected", error, kind, "kernel", "", 0.0, 0)
+            if len((text_layer or "").strip()) > DIRECT_TEXT_MIN_CHARS:
+                return _Row("ok", None, kind, "direct_text", text_layer,
+                            DIRECT_TEXT_CONFIDENCE, 1)
+            entry = self._cached(payload, kind, lang, config)
+            text, conf, para_dicts, total_pages = entry.result
+            visualization = None
             if self.build_visualization and kind in ("image", "pdf"):
                 # S6: re-decode the (first) page, draw paragraph rects /
                 # column separators; off by default — it inflates rows
                 from .image_extract import draw_structure, optimize_image
                 page0 = payload if kind == "image" else glyphs.decode_pdfx(payload)[0]
                 img = optimize_image(glyphs.decode_imgx(page0), self.max_dim)
-                row["visualization"] = glyphs.encode_imgx(
-                    draw_structure(img, para_dicts))
+                visualization = glyphs.encode_imgx(draw_structure(img, para_dicts))
+            return _Row("ok", None, kind, "kernel", text, conf, total_pages,
+                        visualization, entry)
         except Exception as e:  # M11: row-level degradation, never batch-fatal
-            row["extracted_text"] = str(e)
-            row["confidence"] = 0.0
-            row["status"] = "error"
-            row["error"] = str(e)
-        row["processing_time_ms"] = (time.perf_counter() - t0) * 1e3
-        return row
+            return _error(kind, e)
+
+    def extract_row(self, url: str, payload: bytes | None, text_layer: str | None,
+                    lang: str | None, config: "str | None" = None) -> dict:
+        """One row through the batch stage, as a dict."""
+        return self(pa.table({
+            "url": pa.array([url], pa.string()),
+            "html": pa.array([payload], pa.binary()),
+            "text": pa.array([text_layer], pa.string()),
+            "lang": pa.array([lang], pa.string()),
+            "kernel_config": pa.array([config], pa.string())})).to_pylist()[0]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        urls = batch["url"].to_pylist()
+        if n == 0:
+            return EXTRACTED_SCHEMA.empty_table()
         payloads = batch["html"].to_pylist()
         texts = batch["text"].to_pylist() if "text" in batch.column_names else [None] * n
         langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [None] * n
         # per-row raw config passthrough column (reference app.py:580-581)
         cfgs = (batch["kernel_config"].to_pylist()
                 if "kernel_config" in batch.column_names else [None] * n)
-        rows = [self.extract_row(u, p, t, l, c)
-                for u, p, t, l, c in zip(urls, payloads, texts, langs, cfgs)]
-        return pa.Table.from_pylist(rows, schema=EXTRACTED_SCHEMA)
+        rows, ms = [], []
+        for p, t, l, c in zip(payloads, texts, langs, cfgs):
+            t0 = time.perf_counter()
+            rows.append(self._extract(p, t, l, c))
+            ms.append((time.perf_counter() - t0) * 1e3)
+
+        structures: list[Structure | None] = [None] * n
+        if self.build_spans:
+            # (M8/F8) structure of every kernel row whose cache entry has
+            # none yet, in one batch; a cache hit reuses the built one
+            t0 = time.perf_counter()
+            todo: dict[int, list[int]] = {}
+            for i, row in enumerate(rows):
+                if row.entry is not None and row.entry.structure is None:
+                    todo.setdefault(id(row.entry), []).append(i)
+            layouts, built = [], []
+            for members in todo.values():
+                entry = rows[members[0]].entry
+                try:
+                    layouts.append(paragraph_layout(entry.result[0], entry.result[2]))
+                    built.append(entry)
+                except Exception as e:  # M11
+                    for i in members:
+                        rows[i] = _error(rows[i].payload_kind, e)
+            for entry, structure in zip(built, build_structures(layouts) if layouts else ()):
+                entry.structure = structure
+            share = (time.perf_counter() - t0) * 1e3 / max(1, sum(map(len, todo.values())))
+            for i, row in enumerate(rows):
+                if row.entry is not None:
+                    structures[i] = row.entry.structure
+                    if id(row.entry) in todo:
+                        ms[i] += share
+
+        (status, error, kind, source, text, conf, pages, visualization,
+         _) = zip(*rows)
+        columns = {
+            "url": batch["url"],
+            "extracted_text": pa.array(text, pa.string()),
+            **structure_columns(structures),
+            "total_pages": pa.array(pages, pa.int32()),
+            "page": pa.array(np.zeros(n, np.int32)),
+            "confidence": pa.array(conf, pa.float64()),
+            "processing_time_ms": pa.array(ms, pa.float64()),
+            "summary": pa.nulls(n, pa.string()),
+            "compression_ratio": pa.nulls(n, pa.float64()),
+            "lang": pa.array([l or "eng" for l in langs], pa.string()),
+            "quality": pa.array([self.quality] * n, pa.string()),
+            "payload_kind": pa.array(kind, pa.string()),
+            "source": pa.array(source, pa.string()),
+            "dedup_source_url": pa.nulls(n, pa.string()),
+            "visualization": pa.array(visualization, pa.binary()),
+            "status": pa.array(status, pa.string()),
+            "error": pa.array(error, pa.string()),
+        }
+        return pa.Table.from_arrays([columns[f.name] for f in EXTRACTED_SCHEMA],
+                                    schema=EXTRACTED_SCHEMA)
+
+
+@dataclass(slots=True)
+class _Entry:
+    """A cached kernel result (text, confidence, paragraph_dicts,
+    total_pages), the Structure built from it, and its byte estimate."""
+    result: tuple
+    structure: Structure | None = None
+    nbytes: int = 0
+
+
+class _Row(NamedTuple):
+    """One row up to its structure; ``entry`` is set on kernel rows."""
+    status: str
+    error: str | None
+    payload_kind: str
+    source: str
+    extracted_text: str
+    confidence: float
+    total_pages: int
+    visualization: bytes | None = None
+    entry: _Entry | None = None
+
+
+def _error(kind: str, e: Exception) -> _Row:
+    """M11: a failing row keeps the error as its text, with confidence 0
+    (app.py:602)."""
+    return _Row("error", str(e), kind, "kernel", str(e), 0.0, 0)
