@@ -19,19 +19,20 @@ gate, exactly as a curation pipeline quarantines low-trust extractions.
 
 Architecture — "checkpoint the text once, then decisions, not data":
 
-  pass 0 (extract): ONE read of (url, html, text, lang); blocked urls
-      short-circuit past the kernel; the extraction output (doc_id, url,
-      fate0, extracted_text) is written as a partitioned parquet
-      CHECKPOINT (atomic part files, one per block) — the resume seam
-      every preemptible 100-TB run needs (state/manifest convention), and
-      the reason extraction runs exactly once while three downstream
-      passes read its output cheaply. `html` bytes are read once, here,
-      and never again.
+  pass 0 (extract): ONE read of (url, html, text, lang) on the flagship
+      checkpoint's partition runner (state/manifest.run_partitioned): one
+      footer-planned row range per ROWS_PER_TASK input rows; blocked urls
+      short-circuit past the kernel; each range's (doc_id, url, fate0,
+      extracted_text) commits as an atomic part file plus its manifest —
+      the resume seam every preemptible 100-TB run needs (a resume redoes
+      only the partitions without a complete manifest), and the reason
+      extraction runs once while three downstream passes read the part
+      files those manifests name. `html` bytes are read here only.
   pass 1 (flags): read checkpoint; ONE map computes every per-row flag
       (md5 digest, C4 clean/status, Gopher keep, token count, host
-      split) and drops text; the only exchange groups the ~80 B/row
-      projection by a coarse digest prefix to resolve exact-dup
-      representatives. Text exchanged: 0.
+      split) and drops text; the only exchange (stages/exchange
+      .keyed_exchange) groups the ~80 B/row projection by digest bucket
+      to resolve exact-dup representatives. Text exchanged: 0.
   pass 2 (bands): read checkpoint, MinHash-md5 signatures per batch,
       band-bucket exchange of hash rows only (stages/dedup
       .minhash_pairs_md5), pair table → the bounded reject set (drop the
@@ -43,22 +44,24 @@ Architecture — "checkpoint the text once, then decisions, not data":
       exact twin's signature equals its representative's, so any pair
       through a twin implies the same-or-stronger pair through the
       representative. Text exchanged: 0.
-  decisions: flags ⋈ rejects (narrow ⋈ bounded, co-partitioned) →
+  decisions: flags ⋈ rejects (narrow ⋈ bounded, size-routed) →
       per-row fate = first rejecting stage, else kept_{split}. ONE
       aggregate yields every stage's row counts. The materialized state
       is ~80 B/row — the pack_sequences narrow-projection convention,
       never the corpus.
   pack: train rows' (doc_id, n_tokens) through the distributed range
-      prefix-sum (budget 512, pack_sequences contract); tape order = the
+      prefix-sum (budget 512, pack_sequences contract: per-block range
+      totals, then one keyed exchange by id range); tape order = the
       60-bit url-hash id order, a deterministic pre-shuffled training
       order. Text: 0.
   pass 3 (export): read checkpoint, attach the train plan via the
       size-routed lookup (under the cap: a Ray-task-built broadcast
       (pid→seq_id) array probed per batch — the dim_broadcast
       convention; above: co-partitioned hash_join), recompute C4-clean
-      text per row (deterministic map), group by shard = seq_id % 4,
-      write one atomic parquet part per shard with a content digest —
-      the shard groupby is the ONLY shuffle the text column ever rides
+      text per row (deterministic map), group by shard = seq_id % 4
+      (one keyed exchange bucket per shard), write one atomic parquet
+      part per shard with a content digest — the shard exchange is the
+      ONLY shuffle the text column ever rides
       (the over-cap join route adds one co-partition pass). The
       near-dup reject set takes the same size routing on the decisions
       side.
@@ -79,16 +82,16 @@ import os
 import shutil
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from .. import str_hash
 from ..hashing import hash32 as _hash32
 from ..stages import crawl, dedup, text_analysis
+from ..stages.exchange import keyed_exchange
 from ..stages.joins import hash_join
+from ..state import manifest
 
 RECIPE_BUDGET = 512            # pack budget (packed_sequences' PACK_BUDGET)
 RECIPE_SHARDS = 4              # export shards = seq_id % RECIPE_SHARDS
@@ -120,49 +123,30 @@ def _url_block_mask(urls: "pa.Array") -> "pa.Array":
 
 
 def _extract_checkpoint_batch(batch: pa.Table) -> pa.Table:
-    """Pass-0 map: url gate → flagship extraction (warm per-process
-    kernel, extract.extract_batch) on the surviving rows only → the
-    checkpoint projection (doc_id, url, fate0, extracted_text)."""
+    """Pass-0 slice function: url gate → flagship extraction (warm
+    per-process kernel, extract.extract_batch) on the surviving rows only
+    → the checkpoint projection (doc_id, url, fate0, extracted_text),
+    blocked rows first; typed also for an empty ``batch``."""
     from .extract import extract_batch
 
     blocked = _url_block_mask(batch["url"])
     bad = batch.filter(blocked)
-    kept = batch.filter(pc.invert(blocked))
-
-    parts = []
-    if bad.num_rows:
-        parts.append(pa.table({
-            "doc_id": pa.array([_url_id(u)
-                                for u in bad["url"].to_pylist()],
-                               pa.int64()),
-            "url": bad["url"],
-            "fate0": pa.array(["url_quarantined"] * bad.num_rows,
-                              pa.string()),
-            "extracted_text": pa.array([None] * bad.num_rows,
-                                       pa.string())}))
-    if kept.num_rows:
-        ext = extract_batch(kept, build_spans=False)
-        ok = pc.and_(
-            pc.equal(ext["status"], pa.scalar("ok")),
-            pc.is_in(ext["payload_kind"],
-                     value_set=pa.array(RECIPE_KINDS, pa.string())))
-        fate0 = pc.if_else(ok, pa.scalar("ok"),
-                           pa.scalar("payload_rejected"))
-        parts.append(pa.table({
-            "doc_id": pa.array([_url_id(u)
-                                for u in ext["url"].to_pylist()],
-                               pa.int64()),
-            "url": ext["url"],
-            "fate0": pc.cast(fate0, pa.string()),
-            "extracted_text": pc.if_else(
-                ok, pc.fill_null(ext["extracted_text"], ""),
-                pa.scalar(None, pa.string()))}))
-    if not parts:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "url": pa.array([], pa.string()),
-                         "fate0": pa.array([], pa.string()),
-                         "extracted_text": pa.array([], pa.string())})
-    return pa.concat_tables(parts)
+    ext = extract_batch(batch.filter(pc.invert(blocked)), build_spans=False)
+    ok = pc.and_(
+        pc.equal(ext["status"], pa.scalar("ok")),
+        pc.is_in(ext["payload_kind"],
+                 value_set=pa.array(RECIPE_KINDS, pa.string())))
+    parts = [(bad["url"], pa.array(["url_quarantined"] * bad.num_rows,
+                                   pa.string()),
+              pa.nulls(bad.num_rows, pa.string())),
+             (ext["url"], pc.if_else(ok, "ok", "payload_rejected"),
+              pc.if_else(ok, pc.fill_null(ext["extracted_text"], ""),
+                         pa.scalar(None, pa.string())))]
+    return pa.concat_tables([pa.table({
+        "doc_id": pa.array([_url_id(u) for u in urls.to_pylist()],
+                           pa.int64()),
+        "url": urls, "fate0": fate0, "extracted_text": text})
+        for urls, fate0, text in parts])
 
 
 def _flags_batch(batch: pa.Table) -> pa.Table:
@@ -196,32 +180,24 @@ def _flags_batch(batch: pa.Table) -> pa.Table:
         "split": pa.array(split, pa.string())})
 
 
-def _exact_rep_group(df: pd.DataFrame) -> pa.Table:
-    """Per coarse digest partition: representative = min doc_id per digest
-    AMONG fate0=='ok' rows (quarantined rows never claim a digest). Emits
-    Arrow with explicit types — a pandas return would erode the string
-    columns to object dtype and break the downstream join schema."""
-    alive = (df["fate0"] == "ok").to_numpy()
-    rep = np.zeros(len(df), dtype=bool)
-    if alive.any():
-        a = df[alive]
-        min_per = a.groupby("digest")["doc_id"].transform("min")
-        rep[np.nonzero(alive)[0]] = (a["doc_id"].to_numpy()
-                                     == min_per.to_numpy())
-    return pa.table({
-        "doc_id": pa.array(df["doc_id"].to_numpy(), pa.int64()),
-        "fate0": pa.array(df["fate0"].tolist(), pa.string()),
-        "c4_kept": pa.array(df["c4_kept"].to_numpy(), pa.bool_()),
-        "gopher_keep": pa.array(df["gopher_keep"].to_numpy(), pa.bool_()),
-        "n_tokens": pa.array(df["n_tokens"].to_numpy(), pa.int64()),
-        "split": pa.array(df["split"].tolist(), pa.string()),
-        "exact_rep": pa.array(rep, pa.bool_())})
+def _exact_rep_group(t: pa.Table) -> pa.Table:
+    """Per digest bucket: representative = min doc_id per digest AMONG
+    fate0=='ok' rows (quarantined rows never claim a digest)."""
+    ok = pc.equal(t["fate0"], pa.scalar("ok"))
+    mins = t.filter(ok).group_by("digest").aggregate([("doc_id", "min")])
+    rep_id = pc.take(mins["doc_id_min"],
+                     pc.index_in(t["digest"], value_set=mins["digest"]))
+    return t.append_column("exact_rep", pc.fill_null(
+        pc.and_(ok, pc.equal(t["doc_id"], rep_id)), False))
 
 
-def _pack_assign(decisions):
+def _pack_assign(train):
     """Distributed range prefix-sum pack plan over the narrow train rows —
     the pack_sequences contract (budget tape cut) with token counts
-    already in hand. → (pid, seq_id)."""
+    already in hand. → (pid, seq_id), or None without train rows. Each
+    id range's token total comes from per-block partials; the ranges
+    route by value over ``RECIPE_RANGES`` buckets, so each bucket is
+    exactly one range."""
     width = RECIPE_ID_SPACE // RECIPE_RANGES
 
     def project(batch: pa.Table) -> pa.Table:
@@ -230,39 +206,42 @@ def _pack_assign(decisions):
                          "n_tokens": batch["n_tokens"],
                          "rkey": pa.array(ids // width, pa.int64())})
 
-    counts = decisions.map_batches(project, batch_format="pyarrow") \
-                      .materialize()
+    def total_partial(batch: pa.Table) -> pa.Table:
+        return batch.group_by("rkey").aggregate([("n_tokens", "sum")])
+
+    counts = train.map_batches(project, batch_format="pyarrow").materialize()
     if counts.count() == 0:
         return None
-    totals = counts.groupby("rkey").sum("n_tokens").to_pandas() \
-                   .sort_values("rkey")
-    base = totals["sum(n_tokens)"].astype(np.int64).cumsum() \
-                                  .shift(fill_value=0)
-    base_map = dict(zip(totals["rkey"].astype(np.int64),
-                        base.astype(np.int64)))
+    tp = counts.map_batches(total_partial, batch_format="pyarrow").to_pandas()
+    totals = np.zeros(RECIPE_RANGES, np.int64)
+    np.add.at(totals, tp["rkey"].to_numpy(np.int64),
+              tp["n_tokens_sum"].to_numpy(np.int64))
+    base = np.cumsum(totals) - totals
 
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values("doc_id", kind="mergesort")
+    def assign(t: pa.Table) -> pa.Table:
+        d = t.sort_by("doc_id")
         n = d["n_tokens"].to_numpy().astype(np.int64)
-        start = base_map[int(d["rkey"].iloc[0])] \
-            + np.concatenate(([0], np.cumsum(n)[:-1])).astype(np.int64)
-        return pd.DataFrame({"pid": d["doc_id"].to_numpy(),
-                             "seq_id": start // RECIPE_BUDGET})
+        start = base[d["rkey"][0].as_py()] + np.cumsum(n) - n
+        return pa.table({"pid": d["doc_id"],
+                         "seq_id": pa.array(start // RECIPE_BUDGET)})
 
-    return counts.groupby("rkey").map_groups(assign, batch_format="pandas")
+    return keyed_exchange(counts, ["rkey"], assign,
+                          {"pid": pa.int64(), "seq_id": pa.int64()},
+                          RECIPE_RANGES)
 
 
 @ray.remote(num_cpus=1)
-def _sorted_ids_task(refs, col: str) -> np.ndarray:
-    """Concatenate one int64 column from materialized block refs into a
-    sorted numpy array INSIDE a Ray task — the knn-index convention: the
-    driver holds only the ObjectRef, never the ids. ``refs`` is a list
-    of block ObjectRefs; Ray does not auto-resolve refs nested in a
-    list, so they are fetched here, inside the task."""
-    parts = [t[col].to_numpy(zero_copy_only=False).astype(np.int64)
-             for t in ray.get(list(refs)) if t.num_rows]
-    return (np.sort(np.concatenate(parts)) if parts
-            else np.empty(0, np.int64))
+def _sorted_lookup(refs, key: str, values: "tuple[str, ...]" = ()) -> list:
+    """[sorted unique ``key`` array, one array per ``values`` column aligned
+    to it (a repeated key keeps its first row)] from block refs, built
+    INSIDE a Ray task so the driver holds only the ObjectRef. Ray does not
+    resolve refs nested in a list, so they are fetched here."""
+    parts = [t for t in ray.get(list(refs)) if t.num_rows]
+    arrays = [np.concatenate([t[c].to_numpy(zero_copy_only=False)
+                              .astype(np.int64) for t in parts])
+              if parts else np.empty(0, np.int64) for c in (key, *values)]
+    k, first = np.unique(arrays[0], return_index=True)
+    return [k, *(a[first] for a in arrays[1:])]
 
 
 def _sorted_member_mask(ids_sorted: np.ndarray,
@@ -274,26 +253,6 @@ def _sorted_member_mask(ids_sorted: np.ndarray,
     pos = np.minimum(np.searchsorted(ids_sorted, keys),
                      len(ids_sorted) - 1)
     return ids_sorted[pos] == keys
-
-
-@ray.remote(num_cpus=1)
-def _plan_lookup_task(refs) -> "tuple[np.ndarray, np.ndarray]":
-    """(sorted pid array, aligned seq_id array) from the pack plan's
-    block refs — the broadcast doc_id→seq_id lookup (refs fetched
-    inside the task, as in _sorted_ids_task)."""
-    pids, seqs = [], []
-    for t in ray.get(list(refs)):
-        if t.num_rows:
-            pids.append(t["pid"].to_numpy(zero_copy_only=False)
-                        .astype(np.int64))
-            seqs.append(t["seq_id"].to_numpy(zero_copy_only=False)
-                        .astype(np.int64))
-    if not pids:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    p = np.concatenate(pids)
-    s = np.concatenate(seqs)
-    order = np.argsort(p, kind="mergesort")
-    return p[order], s[order]
 
 
 def fate_batch(batch: pa.Table) -> pa.Table:
@@ -326,18 +285,21 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
     """Run the full recipe; return the lineage manifest (see module
     docstring). Value-exact vs the composed SQL oracle.
 
-    ``resume=True`` with an explicit ``work_dir``: if a prior run's
-    extraction checkpoint committed (its ``_CKPT_DONE`` marker exists — written
-    AFTER the parquet parts, so a preempted pass 0 is never mistaken for
-    complete), pass 0 is skipped entirely and the run re-derives every
-    downstream decision from the checkpoint — the preemption-recovery
-    behavior the 100-TB run needs, where pass 0 (html + extraction) is
-    the dominant cost. Default (no work_dir) keeps the fresh-scratch
-    behavior the oracle comparison relies on."""
-    from .analysis import _coarse_hint_for, _pages_dir_for
-    from .extract import read_pages
+    ``resume=True`` with an explicit ``work_dir`` keeps the pass-0
+    checkpoint of a prior run: the partition runner skips every
+    partition whose manifest committed under the same plan and extracts
+    only the rest, so a run preempted anywhere in pass 0 redoes only its
+    missing partitions — the preemption-recovery behavior the 100-TB run
+    needs, where pass 0 (html + extraction) is the dominant cost. Every
+    downstream decision is re-derived from the checkpoint. A checkpoint
+    of a different plan (another input) is refused with ValueError.
+    Default (no work_dir) keeps the fresh-scratch behavior the oracle
+    comparison relies on."""
+    from .analysis import _coarse_hint_for, _corpus_rows, _pages_dir_for
+    from .extract import ROWS_PER_TASK
 
-    pages_dir = os.path.join(_pages_dir_for(sf_dir), "pages.parquet")
+    corpus_dir = _pages_dir_for(sf_dir)
+    pages_dir = os.path.join(corpus_dir, "pages.parquet")
     shard_files = sorted(os.listdir(pages_dir))
     nc = _coarse_hint_for(os.path.join(pages_dir, shard_files[0]),
                           mult=max(1, len(shard_files)))
@@ -348,38 +310,30 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
             os.path.basename(sf_dir.rstrip("/")))
     ckpt_dir = os.path.join(work_dir, "checkpoint")
     out_dir = os.path.join(work_dir, "shards")
-    # marker lives BESIDE the checkpoint dir (read_parquet scans every
-    # file inside it) and is written only after the parts commit
-    done_marker = os.path.join(work_dir, "_CKPT_DONE")
-    ckpt_ready = resume and os.path.exists(done_marker)
-    if not ckpt_ready:
+    if not resume:
         shutil.rmtree(work_dir, ignore_errors=True)
-        os.makedirs(ckpt_dir)
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir)
 
-    # ---- pass 0: url filter → flagship extraction → parquet checkpoint
-    if not ckpt_ready:
-        (read_pages(pages_dir)
-         .map_batches(_extract_checkpoint_batch, batch_format="pyarrow")
-         .write_parquet(ckpt_dir))
-        with open(done_marker, "w") as fh:
-            fh.write("complete\n")
+    # ---- pass 0: url filter → flagship extraction → partition checkpoint.
+    # The partition count follows the input alone (one partition per
+    # ROWS_PER_TASK rows), so a resume always finds the same plan.
+    n_parts = max(1, -(-_corpus_rows(corpus_dir) // ROWS_PER_TASK))
+    manifest.run_partitioned(pages_dir, ckpt_dir, n_parts,
+                             _extract_checkpoint_batch)
+    ckpt_files = manifest.part_files(ckpt_dir)
 
     def ckpt(columns):
-        return ray.data.read_parquet(ckpt_dir, columns=columns)
+        return ray.data.read_parquet(ckpt_files, columns=columns)
 
     # ---- pass 1: flags + exact-dup representatives (narrow exchange)
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        coarse = str_hash.crc32_of_strings(batch["digest"]) % nc
-        return batch.append_column(
-            "coarse", pa.array(coarse.astype(np.int32), pa.int32()))
-
-    flags = (ckpt(["doc_id", "url", "fate0", "extracted_text"])
-             .map_batches(_flags_batch, batch_format="pyarrow")
-             .map_batches(add_coarse, batch_format="pyarrow")
-             .groupby("coarse")
-             .map_groups(_exact_rep_group, batch_format="pandas"))
+    flags = keyed_exchange(
+        ckpt(["doc_id", "url", "fate0", "extracted_text"])
+        .map_batches(_flags_batch, batch_format="pyarrow"),
+        ["digest"], _exact_rep_group,
+        {"doc_id": pa.int64(), "fate0": pa.string(), "c4_kept": pa.bool_(),
+         "gopher_keep": pa.bool_(), "n_tokens": pa.int64(),
+         "split": pa.string(), "exact_rep": pa.bool_()}, nc)
 
     # ---- pass 2: near-dup reject set (hash-only bands exchange)
     def ok_docs(batch: pa.Table) -> pa.Table:
@@ -391,22 +345,21 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
         ckpt(["doc_id", "fate0", "extracted_text"])
         .map_batches(ok_docs, batch_format="pyarrow"),
         threshold=RECIPE_THRESHOLD, n_coarse=nc)
-
-    rejects = (pairs.map_batches(
-        lambda b: pa.table({"rid": b["id_b"]}), batch_format="pyarrow")
-        .groupby("rid").count()).materialize()
+    rids = pairs.map_batches(lambda b: pa.table({"rid": b["id_b"]}),
+                             batch_format="pyarrow").materialize()
 
     # ---- decisions: flags × reject set → fate per row, one narrow table.
-    # Size-routed (the dim_broadcast convention): the reject set is
-    # duplicate-proportional — under the cap a Ray task concatenates its
-    # block refs into ONE sorted id array (driver holds only the
-    # ObjectRef) and membership is a vectorized searchsorted per batch;
-    # past the cap it falls through to the co-partitioned hash_join.
-    if rejects.count() <= broadcast_cap_rows:
-        rid_ref = _sorted_ids_task.remote(rejects.to_arrow_refs(), "rid")
+    # Size-routed on the rejected side of the pairs (the dim_broadcast
+    # convention; a rejected id appears once per pair): under the cap a
+    # Ray task turns its block refs into ONE sorted unique id array (the
+    # driver holds only the ObjectRef) and membership is a vectorized
+    # searchsorted per batch; past the cap the ids are de-duplicated per
+    # bucket and the flags take a co-partitioned left hash_join.
+    if rids.count() <= broadcast_cap_rows:
+        rid_ref = _sorted_lookup.remote(rids.to_arrow_refs(), "rid")
 
         def mark_near(batch: pa.Table) -> pa.Table:
-            ids = ray.get(rid_ref)
+            ids = ray.get(rid_ref)[0]
             keys = batch["doc_id"].to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
             near = _sorted_member_mask(ids, keys)
@@ -414,11 +367,16 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
 
         joined = flags.map_batches(mark_near, batch_format="pyarrow")
     else:
-        jt = hash_join(flags, rejects, "doc_id", "rid", how="left",
-                       n_coarse=nc)
-        joined = jt.map_batches(
-            lambda b: b.append_column(
-                "near", pc.is_valid(b["count()"])),
+        def unique_rids(t: pa.Table) -> pa.Table:
+            u = pc.unique(t["rid"])
+            return pa.table({"rid": u, "near": pa.array([True] * len(u))})
+
+        rejects = keyed_exchange(rids, ["rid"], unique_rids,
+                                 {"rid": pa.int64(), "near": pa.bool_()}, nc)
+        joined = hash_join(flags, rejects, "doc_id", "rid", how="left",
+                           n_coarse=nc).map_batches(
+            lambda b: b.set_column(b.column_names.index("near"), "near",
+                                   pc.fill_null(b["near"], False)),
             batch_format="pyarrow")
 
     decisions = joined.map_batches(fate_batch,
@@ -456,9 +414,9 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
     # (pid→seq_id) lookup under the cap, co-partitioned hash_join above).
     shard_rows = []
     if plan is not None and n_train > 0:
-        plan_mat = plan.materialize()
         if n_train <= broadcast_cap_rows:
-            lk_ref = _plan_lookup_task.remote(plan_mat.to_arrow_refs())
+            lk_ref = _sorted_lookup.remote(plan.to_arrow_refs(), "pid",
+                                           ("seq_id",))
 
             def attach_plan(batch: pa.Table) -> pa.Table:
                 pids, seqs = ray.get(lk_ref)
@@ -476,7 +434,7 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
         else:
             exp = hash_join(
                 ckpt(["doc_id", "url", "extracted_text"]),
-                plan_mat, "doc_id", "pid", how="inner", n_coarse=nc)
+                plan, "doc_id", "pid", how="inner", n_coarse=nc)
 
         def add_shard(batch: pa.Table) -> pa.Table:
             shard = pa.array(
@@ -484,33 +442,32 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
                 % RECIPE_SHARDS, pa.int64())
             return batch.append_column("shard_id", shard)
 
-        def write_shard(df: pd.DataFrame) -> pd.DataFrame:
-            d = df.sort_values("doc_id", kind="mergesort")
+        def write_shard(t: pa.Table) -> pa.Table:
+            d = t.sort_by("doc_id")
             clean = text_analysis.c4_clean(pa.table({
-                "doc_id": pa.array(d["doc_id"].to_numpy(), pa.int64()),
-                "text": pa.array(d["extracted_text"].fillna("").tolist(),
-                                 pa.string())}))["clean_text"].to_pylist()
-            sid = int(d["shard_id"].iloc[0])
-            tbl = pa.table({
-                "doc_id": pa.array(d["doc_id"].to_numpy(), pa.int64()),
-                "url": pa.array(d["url"].tolist(), pa.string()),
-                "seq_id": pa.array(d["seq_id"].to_numpy(), pa.int64()),
-                "clean_text": pa.array(clean, pa.string())})
+                "doc_id": d["doc_id"],
+                "text": pc.fill_null(d["extracted_text"], "")}))["clean_text"]
+            sid = d["shard_id"][0].as_py()
+            tbl = pa.table({"doc_id": d["doc_id"], "url": d["url"],
+                            "seq_id": d["seq_id"], "clean_text": clean})
             final = os.path.join(out_dir, f"shard-{sid:03d}.parquet")
-            tmp = final + ".tmp"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, final)
+            pq.write_table(tbl, final + ".tmp")
+            os.replace(final + ".tmp", final)
             digest = hashlib.md5("|".join(
                 f"{i}:{hashlib.md5((c or '').encode()).hexdigest()}"
-                for i, c in zip(d["doc_id"], clean)).encode()).hexdigest()
-            return pd.DataFrame([{"shard_id": sid, "n": len(d),
-                                  "digest": digest}])
+                for i, c in zip(d["doc_id"].to_pylist(), clean.to_pylist())
+            ).encode()).hexdigest()
+            return pa.table({"shard_id": [sid], "n": [d.num_rows],
+                             "digest": [digest]})
 
-        shard_rows = (exp.map_batches(add_shard, batch_format="pyarrow")
-                      .groupby("shard_id")
-                      .map_groups(write_shard, batch_format="pandas")
-                      .to_pandas().sort_values("shard_id")
-                      .to_dict("records"))
+        # shard ids route by value and n_coarse is RECIPE_SHARDS, so each
+        # bucket is exactly one shard
+        shard_rows = (keyed_exchange(
+            exp.map_batches(add_shard, batch_format="pyarrow"),
+            ["shard_id"], write_shard,
+            {"shard_id": pa.int64(), "n": pa.int64(), "digest": pa.string()},
+            RECIPE_SHARDS)
+            .to_pandas().sort_values("shard_id").to_dict("records"))
 
     # ---- assemble the lineage manifest
     rows = [

@@ -205,7 +205,7 @@ class _Step(NamedTuple):
 def _bucket_sums(refs, col: str, dangling: bool) -> "list":
     """The per-bucket sums of ``_tree_total``, in bucket order, over the
     score blocks ``refs`` (fetched inside the task, as in
-    ``recipe._sorted_ids_task``: the table is node-sized)."""
+    ``recipe._sorted_lookup``: the table is node-sized)."""
     t = pa.concat_tables(ray.get(list(refs)))
     df = pd.DataFrame({"node": t["node"].to_numpy(),
                        "v": t[col].to_numpy(),

@@ -14,27 +14,30 @@ caches never survived (server restart loses everything, app.py:237). A
 resume under a different plan is refused, since its partitions would
 overlap the ones already on disk.
 
-A flagship checkpoint partition is a contiguous range of input rows: with
+A checkpoint partition (the flagship's, and pass 0 of the curation
+recipe's) is a contiguous range of input rows: with
 the pages files taken in name order and N rows in all, partition i holds
 rows ``[i·N//n, (i+1)·N//n)``, its manifest's ``row_range``, and ``plan`` is
 ``{input_rows: N, n_partitions: n}``. The plan comes from the parquet footers
 alone. Partitions set the resume granularity; the task count follows
 ``pipelines.extract.task_count``, the rule ``read_pages`` uses for blocks,
 so each task takes a contiguous run of the partitions left to do. A task
-decodes every row group its run overlaps once, then extracts and commits
-each partition of the run in turn. There is no exchange, and a resumed
-run reproduces byte-identical partition contents. The exports shard by
-``md5-hash32(key) % n_shards`` instead, because their input is any Dataset;
-their ``plan`` is ``{n_shards: n}`` and ``row_range`` the key range.
+decodes every row group its run overlaps once, then runs the caller's slice
+function over each partition of the run and commits it in turn. There is
+no exchange, and a resumed run reproduces byte-identical partition
+contents. The exports shard by ``md5-hash32(key) % n_shards`` instead,
+because their input is any Dataset, and group their rows by shard through
+``stages.exchange.keyed_exchange``; their ``plan`` is ``{n_shards: n}`` and
+``row_range`` the key range.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import time
-import zlib
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -42,14 +45,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-
-def partition_of(urls: list[str], n_partitions: int) -> list[int]:
-    return [zlib.crc32((u or "").encode()) % n_partitions for u in urls]
+from ..stages.exchange import keyed_exchange
 
 
 def add_partition_column(batch: pa.Table, n_partitions: int) -> pa.Table:
-    # same crc32 % n as partition_of, via the shared buffer-slice helper;
-    # kept for the url-hash checkpoint mirror in perfbench/tracing.py
+    # partition = crc32(url) % n, the url-hash rule no checkpoint uses any
+    # more; kept for the checkpoint mirror in perfbench/tracing.py
     from ..str_hash import str_coarse
     parts = str_coarse(batch["url"], n_partitions)
     return batch.append_column("partition_id", pa.array(parts))
@@ -207,18 +208,24 @@ def _read_range(groups: list[tuple[str, int, int, int]], lo: int, hi: int,
     return pa.concat_tables(parts), decoded
 
 
+def _flagship(pages: pa.Table, quality: str) -> pa.Table:
+    """The flagship checkpoint's slice function: extraction + summary."""
+    from ..pipelines.extract import extract_batch, summarize_batch
+    return summarize_batch(extract_batch(pages, quality))
+
+
 def _extract_run(run: list[dict], groups: list[tuple[str, int, int, int]],
-                 pages_path: str, out_dir: str, plan: dict,
-                 quality: str) -> int:
-    """One checkpoint task: extract and commit the partitions of ``run``
+                 pages_path: str, out_dir: str, plan: dict, extract) -> int:
+    """One checkpoint task: run and commit the partitions of ``run``
     (``{partition_id, lo, hi}`` in input-row order) one after another.
-    Each overlapping row group is decoded once and held only until the
-    run has passed it. A partition already complete under ``plan`` is
-    skipped, so a retried task does not redo what it committed before it
-    died. Returns the payload rows decoded."""
-    from ..pipelines.extract import (EXTRACT_BATCH_SIZE, PAGES_COLUMNS,
-                                     extract_batch, summarize_batch)
-    from ..schema import EXTRACTED_SCHEMA
+    ``extract`` maps a slice of pages rows to its output rows; an empty
+    range commits ``extract`` of an empty pages table. Each overlapping
+    row group is decoded once and held only until the run has passed it.
+    A partition already complete under ``plan`` is skipped, so a retried
+    task does not redo what it committed before it died. Returns the
+    payload rows decoded."""
+    from ..pipelines.extract import EXTRACT_BATCH_SIZE, PAGES_COLUMNS
+    from ..schema import PAGES_SCHEMA
 
     t_start, held, decoded = time.time(), {}, 0
     for item in run:
@@ -227,34 +234,35 @@ def _extract_run(run: list[dict], groups: list[tuple[str, int, int, int]],
         m = _read_manifest(_manifest_path(out_dir, pid))
         if m and m.get("plan") == plan:
             continue
-        out = EXTRACTED_SCHEMA.empty_table()
         if lo < hi:
             pages, n = _read_range(groups, lo, hi, PAGES_COLUMNS, held)
             decoded += n
             out = pa.concat_tables(
-                [summarize_batch(extract_batch(pages.slice(s, EXTRACT_BATCH_SIZE),
-                                               quality))
+                [extract(pages.slice(s, EXTRACT_BATCH_SIZE))
                  for s in range(0, pages.num_rows, EXTRACT_BATCH_SIZE)]).sort_by("url")
+        else:
+            out = extract(PAGES_SCHEMA.empty_table().select(PAGES_COLUMNS))
         write_partition(out, out_dir, pid, pages_path, t_start,
                         row_range=[lo, hi], plan=plan)
         t_start = time.time()
     return decoded
 
 
-def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 64,
-                            quality: str = "medium",
-                            max_partitions: int | None = None) -> dict:
-    """Checkpointed flagship run: plan row-range partitions from the
-    parquet footers → skip completed ones → split the rest into
-    ``task_count`` contiguous runs of near-equal length, one task each.
-    Partitions set the resume granularity; the shared rule sets the task
-    count, so a task still takes one partition when partitions hold
-    ``ROWS_PER_TASK`` rows or more, or when few are left. Each task (``_extract_run``) decodes
-    the row groups its run overlaps once, extracts and summarizes each
-    partition in ``EXTRACT_BATCH_SIZE`` slices, sorts it by url and commits
-    it through ``write_partition``. An empty range commits an empty part,
-    so every partition completes. A resume with nothing left returns
-    before any task runs or any payload is read.
+def run_partitioned(pages_path: str, out_dir: str, n_partitions: int,
+                    extract, max_partitions: int | None = None) -> dict:
+    """Checkpointed run of the slice function ``extract`` (pages rows →
+    output rows with a ``url`` column, picklable): plan row-range
+    partitions from the parquet footers → skip completed ones → split the
+    rest into ``task_count`` contiguous runs of near-equal length, one
+    task each. Partitions set the resume granularity; the shared rule
+    sets the task count, so a task still takes one partition when
+    partitions hold ``ROWS_PER_TASK`` rows or more, or when few are left.
+    Each task (``_extract_run``) decodes the row groups its run overlaps
+    once, runs ``extract`` over each partition in ``EXTRACT_BATCH_SIZE``
+    slices, sorts it by url and commits it through ``write_partition``.
+    An empty range commits ``extract``'s empty output, so every partition
+    completes. A resume with nothing left returns before any task runs
+    or any payload is read.
 
     ``max_partitions`` processes only that many incomplete partitions (used
     by the kill/resume test to simulate preemption). Returns a summary
@@ -282,18 +290,33 @@ def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 6
     runs = [todo[k * len(todo) // n:(k + 1) * len(todo) // n] for k in range(n)]
 
     def extract_run(run: list[dict]) -> int:
-        return _extract_run(run, groups, pages_path, out_dir, plan, quality)
+        return _extract_run(run, groups, pages_path, out_dir, plan, extract)
 
     summary["tasks"] = n
     summary["rows_read"] = sum(_run_tasks(runs, extract_run))
     return summary
 
 
+def run_partitioned_extract(pages_path: str, out_dir: str, n_partitions: int = 64,
+                            quality: str = "medium",
+                            max_partitions: int | None = None) -> dict:
+    """Checkpointed flagship run: ``run_partitioned`` with extraction and
+    summary at ``quality`` as the slice function (``_flagship``)."""
+    return run_partitioned(pages_path, out_dir, n_partitions,
+                           functools.partial(_flagship, quality=quality),
+                           max_partitions)
+
+
+def part_files(out_dir: str) -> list[str]:
+    """The part files that ``out_dir``'s complete manifests name, in
+    partition order; any other file there is never read."""
+    return [os.path.join(out_dir, f"part-{m['partition_id']:05d}.parquet")
+            for m in _complete_manifests(out_dir)]
+
+
 def read_output(out_dir: str):
     """Read back all completed partitions as one Dataset."""
-    files = [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-             if f.endswith(".parquet")]
-    return ray.data.read_parquet(files)
+    return ray.data.read_parquet(part_files(out_dir))
 
 
 def _export_shards(ds, out_dir: str, n_shards: int, key_col: str,
@@ -338,8 +361,11 @@ def _export_shards(ds, out_dir: str, n_shards: int, key_col: str,
         commit(group.drop_columns(["partition_id"]).sort_by(key_col), pid, g0)
         return pa.table({"partition_id": pa.array([pid], pa.int32())})
 
-    wrote = set(ds.groupby("partition_id").map_groups(
-        write_group, batch_format="pyarrow").to_pandas().get("partition_id", []))
+    # partition ids route by value and n_coarse is n_shards, so each bucket
+    # is exactly one shard
+    wrote = set(keyed_exchange(ds, ["partition_id"], write_group,
+                               {"partition_id": pa.int32()}, n_shards)
+                .to_pandas()["partition_id"])
     for pid in sorted(set(todo) - wrote):
         commit(pa.table({key_col: pa.array([], pa.int64()),
                          text_col: pa.array([], pa.string())}), pid, time.time())

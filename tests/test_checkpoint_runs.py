@@ -3,6 +3,7 @@ takes a contiguous run of the partitions left to do, decodes each row
 group it overlaps once, and commits every partition exactly as a
 one-partition task would."""
 
+import functools
 import json
 import os
 import time
@@ -15,6 +16,7 @@ from mobile_ocr_api_ray.pipelines.extract import task_count
 from mobile_ocr_api_ray.state import manifest
 
 RG_ROWS = 30
+FLAGSHIP = functools.partial(manifest._flagship, quality="medium")
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +92,7 @@ class TestRuns:
         none that only completed partitions overlap."""
         out = str(tmp_path / "out")
         groups, items, plan = _partitions(grouped_pages, 8)
-        manifest._extract_run(items, groups, grouped_pages, out, plan, "medium")
+        manifest._extract_run(items, groups, grouped_pages, out, plan, FLAGSHIP)
         want = _lineage(out)
         for pid in (2, 3, 6):
             with open(manifest._manifest_path(out, pid), "r+") as fh:
@@ -108,7 +110,7 @@ class TestRuns:
 
         monkeypatch.setattr(pq.ParquetFile, "read_row_group", counting)
         rows = manifest._extract_run(todo, groups, grouped_pages, out, plan,
-                                     "medium")
+                                     FLAGSHIP)
         needed = [g for g in groups
                   if any(g[2] < p["hi"] and p["lo"] < g[2] + g[3] for p in todo)]
         assert len(decoded) == len(needed)
@@ -127,11 +129,11 @@ class TestRetry:
         out = str(tmp_path / "out")
         groups, items, plan = _partitions(grouped_pages, 8)
         manifest._extract_run([items[2]], groups, grouped_pages, out, plan,
-                              "medium")
+                              FLAGSHIP)
         paths = [os.path.join(out, "part-00002.parquet"),
                  manifest._manifest_path(out, 2)]
         before = [(os.stat(p).st_ino, os.stat(p).st_mtime_ns) for p in paths]
-        manifest._extract_run(items, groups, grouped_pages, out, plan, "medium")
+        manifest._extract_run(items, groups, grouped_pages, out, plan, FLAGSHIP)
         assert [(os.stat(p).st_ino, os.stat(p).st_mtime_ns)
                 for p in paths] == before
         assert manifest.completed_partitions(out) == set(range(8))
@@ -142,7 +144,7 @@ class TestRetry:
         out = str(tmp_path / "out")
         groups, items, plan = _partitions(grouped_pages, 8)
         t0 = time.time()
-        manifest._extract_run(items, groups, grouped_pages, out, plan, "medium")
+        manifest._extract_run(items, groups, grouped_pages, out, plan, FLAGSHIP)
         wall_ms = (time.time() - t0) * 1e3
         total = sum(m["wall_ms"] for m in _manifests(out).values())
         assert 0 < total <= wall_ms

@@ -655,9 +655,11 @@ class TestCurationRecipe:
     def test_resume_skips_extraction_pass(self, queries, manifest):
         """resume=True over a committed checkpoint must skip pass 0 (the
         checkpoint parts stay byte-identical, mtimes untouched) and still
-        produce the identical manifest; a missing _CKPT_DONE marker
-        (preempted pass 0) forces a fresh extraction."""
+        produce the identical manifest; after a partial pass 0 (half the
+        partitions lost their part and manifest) a resume redoes exactly
+        the missing partitions."""
         import glob
+        import json
         from mobile_ocr_api_ray.pipelines.recipe import curation_recipe
         wd = "/tmp/recipe_resume_test"
         m1 = curation_recipe(SF, work_dir=wd).to_pandas()
@@ -666,12 +668,56 @@ class TestCurationRecipe:
         m2 = curation_recipe(SF, work_dir=wd, resume=True).to_pandas()
         pd.testing.assert_frame_equal(m1, m2)
         assert [os.path.getmtime(p) for p in parts] == stamps
-        # torn pass 0: no marker → checkpoint rebuilt from scratch
-        os.remove(os.path.join(wd, "_CKPT_DONE"))
+        # partial pass 0: drop the part and manifest of every other
+        # partition; only those are rewritten, with the same content
+        ckpt = os.path.join(wd, "checkpoint")
+        files = sorted(glob.glob(os.path.join(ckpt, "part-*.parquet"))
+                       + glob.glob(os.path.join(ckpt, "_manifest", "*")))
+        before = {f: os.stat(f).st_mtime_ns for f in files}
+        digests = {f: json.load(open(f))["content_digest"]
+                   for f in files if f.endswith(".json")}
+        lost = {f"part-{pid:05d}" for pid in range(0, len(digests), 2)}
+        assert 0 < len(lost) < len(digests)
+        for f in files:
+            if os.path.basename(f).split(".")[0] in lost:
+                os.remove(f)
         m3 = curation_recipe(SF, work_dir=wd, resume=True).to_pandas()
         pd.testing.assert_frame_equal(m1, m3)
-        new_parts = sorted(glob.glob(os.path.join(wd, "checkpoint", "*")))
-        assert [os.path.getmtime(p) for p in new_parts] != stamps
+        assert sorted(glob.glob(os.path.join(ckpt, "part-*.parquet"))
+                      + glob.glob(os.path.join(ckpt, "_manifest", "*"))) \
+            == files
+        rewritten = {os.path.basename(f).split(".")[0] for f in files
+                     if os.stat(f).st_mtime_ns != before[f]}
+        assert rewritten == lost
+        assert {f: json.load(open(f))["content_digest"]
+                for f in digests} == digests
+
+    def test_resume_over_earlier_format_work_dir(self, queries, manifest,
+                                                 tmp_path):
+        """A work dir in the earlier checkpoint format (Ray write_parquet
+        parts and a _CKPT_DONE marker, no manifests) resumes to the
+        identical manifest: pass 0 runs in full and its old parts, left
+        in place, are never read (they would double every count)."""
+        from mobile_ocr_api_ray.pipelines.analysis import _pages_dir_for
+        from mobile_ocr_api_ray.pipelines.extract import read_pages
+        from mobile_ocr_api_ray.pipelines.recipe import (
+            _extract_checkpoint_batch, curation_recipe)
+        from mobile_ocr_api_ray.state.manifest import part_files
+        wd = str(tmp_path / "work")
+        ckpt = os.path.join(wd, "checkpoint")
+        (read_pages(os.path.join(_pages_dir_for(SF), "pages.parquet"))
+         .map_batches(_extract_checkpoint_batch, batch_format="pyarrow")
+         .write_parquet(ckpt))
+        with open(os.path.join(wd, "_CKPT_DONE"), "w") as fh:
+            fh.write("complete\n")
+        debris = set(os.listdir(ckpt))
+        assert debris and not any(f.startswith("part-") for f in debris)
+        m = curation_recipe(SF, work_dir=wd, resume=True).to_pandas() \
+            .set_index("stage")
+        pd.testing.assert_frame_equal(manifest, m)
+        assert debris <= set(os.listdir(ckpt))
+        named = {os.path.basename(f) for f in part_files(ckpt)}
+        assert named and not named & debris
 
     def test_no_train_rows_no_text_exchange(self, queries, small_corpus,
                                             tmp_path, monkeypatch):

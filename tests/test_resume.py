@@ -16,13 +16,6 @@ def out_dir(tmp_path):
 
 
 class TestManifest:
-    def test_partitioning_deterministic(self):
-        urls = [f"https://x{i}.example/p" for i in range(100)]
-        a = manifest.partition_of(urls, 16)
-        b = manifest.partition_of(urls, 16)
-        assert a == b
-        assert set(a) <= set(range(16))
-
     def test_full_run_then_resume_noop(self, ray_session, small_corpus, out_dir):
         pages = os.path.join(small_corpus, "pages.parquet")
         r1 = manifest.run_partitioned_extract(pages, out_dir, n_partitions=8)
