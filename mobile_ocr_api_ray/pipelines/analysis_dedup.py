@@ -185,8 +185,8 @@ def length_percentile_docs(sf_dir: str):
     """Exact global rank + percentile of every document by (n_chars,
     doc_id) — the rank-transform normalization
     (stages/text_analysis.global_value_rank): value-range bucketing +
-    a bounded driver prefix sum, no global sort. Value-exact vs SQL
-    row_number over the same order."""
+    a bounded driver prefix sum on stages/exchange.range_prefix, no
+    global sort. Value-exact vs SQL row_number over the same order."""
     return text_analysis.global_value_rank(
         _docs(sf_dir, ["doc_id", "n_chars"]),
         value_col="n_chars").sort("doc_id")
@@ -232,8 +232,9 @@ def shuffle_order_docs(sf_dir: str):
     """Deterministic seeded global training-order shuffle
     (stages/text_analysis.global_shuffle_order): rank = position of
     (md5('s0:' || doc_id), doc_id) in corpus order, shard = rank % 8.
-    Hash-first-byte range partitioning + a ≤256-row driver prefix sum —
-    NO global sort, and the text column never moves. Value-exact vs
+    Hash-first-byte range partitioning + a ≤256-row driver prefix sum
+    (stages/exchange.range_prefix) — NO global sort, and the text column
+    never moves. Value-exact vs
     row_number() over the same md5 ordering in SQL."""
     return text_analysis.global_shuffle_order(
         _docs(sf_dir, ["doc_id"])).sort("doc_id")
@@ -777,23 +778,16 @@ def packed_sequence_texts(sf_dir: str):
     START offset). The heavy text moves exactly once, keyed by seq_id —
     the plan's whole point. Returns (seq_id, n_docs, seq_text).
 
-    Shapes: pack_sequences' plan (16 B/doc) hash-joins back to the text
-    column on doc_id, then one seq-keyed coarse shuffle reassembles
-    members in order — string concatenation is per-group vectorized."""
+    Shapes: pack_sequences' plan (16 B/doc, one range_prefix exchange)
+    hash-joins back to the text column on doc_id, then one seq-keyed
+    coarse shuffle reassembles members in order — string concatenation
+    is per-group vectorized."""
     from ..stages.joins import hash_join
 
-    plan = _packing_plan(sf_dir)
+    plan = _packing_plan(sf_dir).select_columns(["doc_id", "seq_id"]) \
+        .rename_columns({"doc_id": "plan_doc"})
     cols = {"seq_id": pa.int64(), "n_docs": pa.int64(),
             "seq_text": pa.string()}
-    if isinstance(plan, pa.Table):  # empty corpus
-        return pa.table({k: pa.array([], t) for k, t in cols.items()})
-    # NOT Dataset.rename_columns: Ray 2.49's projection assumes Arrow
-    # blocks and dies on the pandas-format blocks map_groups emits
-    # ("'DataFrame' object has no attribute 'rename_columns'")
-    plan = plan.select_columns(["doc_id", "seq_id"]) \
-               .map_batches(lambda b: pa.table({"plan_doc": b["doc_id"],
-                                                "seq_id": b["seq_id"]}),
-                            batch_format="pyarrow")
     docs = _docs(sf_dir, ["doc_id", "text"])
     joined = hash_join(docs, plan, "doc_id", "plan_doc")
     nc = _docs_coarse_hint(sf_dir, 2)
@@ -855,9 +849,7 @@ def _packing_plan(sf_dir: str):
 def packed_sequences(sf_dir: str):
     """Concat-and-chunk sequence-packing plan over documents at a
     512-token budget (see _packing_plan)."""
-    out = _packing_plan(sf_dir)
-    # empty corpus → the stage's typed-empty pa.Table (already "sorted")
-    return out if isinstance(out, pa.Table) else out.sort("doc_id")
+    return _packing_plan(sf_dir).sort("doc_id")
 
 
 def quality_median_filtered(sf_dir: str):

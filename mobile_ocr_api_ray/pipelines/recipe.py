@@ -50,10 +50,10 @@ Architecture — "checkpoint the text once, then decisions, not data":
       is ~80 B/row — the pack_sequences narrow-projection convention,
       never the corpus.
   pack: train rows' (doc_id, n_tokens) through the distributed range
-      prefix-sum (budget 512, pack_sequences contract: per-block range
-      totals, then one keyed exchange by id range); tape order = the
-      60-bit url-hash id order, a deterministic pre-shuffled training
-      order. Text: 0.
+      prefix sum (stages/exchange.range_prefix at budget 512, the
+      pack_sequences contract: per-block range totals, then one keyed
+      exchange by id range); tape order = the 60-bit url-hash id order,
+      a deterministic pre-shuffled training order. Text: 0.
   pass 3 (export): read checkpoint, attach the train plan via the
       size-routed lookup (under the cap: a Ray-task-built broadcast
       (pid→seq_id) array probed per batch — the dim_broadcast
@@ -77,6 +77,8 @@ C4/Gopher rule CTEs → split CASE → window-sum pack → md5 shard digests).
 
 from __future__ import annotations
 
+import atexit
+import functools
 import hashlib
 import os
 import shutil
@@ -89,7 +91,7 @@ import ray.data
 
 from ..hashing import hash32 as _hash32
 from ..stages import crawl, dedup, text_analysis
-from ..stages.exchange import keyed_exchange
+from ..stages.exchange import keyed_exchange, range_prefix
 from ..stages.joins import hash_join
 from ..state import manifest
 
@@ -192,12 +194,9 @@ def _exact_rep_group(t: pa.Table) -> pa.Table:
 
 
 def _pack_assign(train):
-    """Distributed range prefix-sum pack plan over the narrow train rows —
-    the pack_sequences contract (budget tape cut) with token counts
-    already in hand. → (pid, seq_id), or None without train rows. Each
-    id range's token total comes from per-block partials; the ranges
-    route by value over ``RECIPE_RANGES`` buckets, so each bucket is
-    exactly one range."""
+    """The pack_sequences plan (budget tape cut) over the narrow train
+    rows, token counts already in hand: one ``range_prefix`` over
+    ``RECIPE_RANGES`` id ranges → (pid, seq_id)."""
     width = RECIPE_ID_SPACE // RECIPE_RANGES
 
     def project(batch: pa.Table) -> pa.Table:
@@ -206,28 +205,14 @@ def _pack_assign(train):
                          "n_tokens": batch["n_tokens"],
                          "rkey": pa.array(ids // width, pa.int64())})
 
-    def total_partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("rkey").aggregate([("n_tokens", "sum")])
+    def emit(t: pa.Table, start: np.ndarray) -> pa.Table:
+        return pa.table({"pid": t["doc_id"],
+                         "seq_id": start // RECIPE_BUDGET})
 
-    counts = train.map_batches(project, batch_format="pyarrow").materialize()
-    if counts.count() == 0:
-        return None
-    tp = counts.map_batches(total_partial, batch_format="pyarrow").to_pandas()
-    totals = np.zeros(RECIPE_RANGES, np.int64)
-    np.add.at(totals, tp["rkey"].to_numpy(np.int64),
-              tp["n_tokens_sum"].to_numpy(np.int64))
-    base = np.cumsum(totals) - totals
-
-    def assign(t: pa.Table) -> pa.Table:
-        d = t.sort_by("doc_id")
-        n = d["n_tokens"].to_numpy().astype(np.int64)
-        start = base[d["rkey"][0].as_py()] + np.cumsum(n) - n
-        return pa.table({"pid": d["doc_id"],
-                         "seq_id": pa.array(start // RECIPE_BUDGET)})
-
-    return keyed_exchange(counts, ["rkey"], assign,
-                          {"pid": pa.int64(), "seq_id": pa.int64()},
-                          RECIPE_RANGES)
+    return range_prefix(
+        train.map_batches(project, batch_format="pyarrow"), "rkey",
+        ["doc_id"], emit, {"pid": pa.int64(), "seq_id": pa.int64()},
+        weight="n_tokens")
 
 
 @ray.remote(num_cpus=1)
@@ -279,6 +264,17 @@ def fate_batch(batch: pa.Table) -> pa.Table:
         "n_tokens": batch["n_tokens"]})
 
 
+@functools.lru_cache(maxsize=None)
+def _default_work_root(pid: int) -> str:
+    """The scratch root of this process's runs without a ``work_dir``,
+    removed when the process exits (not by a forked child that inherits
+    the hook)."""
+    root = os.path.join("/tmp", f"mobile_ocr_recipe_{pid}")
+    atexit.register(lambda: os.getpid() == pid
+                    and shutil.rmtree(root, ignore_errors=True))
+    return root
+
+
 def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
                     resume: bool = False,
                     broadcast_cap_rows: int = 2_000_000):
@@ -294,7 +290,7 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
     downstream decision is re-derived from the checkpoint. A checkpoint
     of a different plan (another input) is refused with ValueError.
     Default (no work_dir) keeps the fresh-scratch behavior the oracle
-    comparison relies on."""
+    comparison relies on, under a per-process root removed at exit."""
     from .analysis import _coarse_hint_for, _corpus_rows, _pages_dir_for
     from .extract import ROWS_PER_TASK
 
@@ -305,9 +301,8 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
                           mult=max(1, len(shard_files)))
 
     if work_dir is None:
-        work_dir = os.path.join(
-            "/tmp", f"mobile_ocr_recipe_{os.getpid()}",
-            os.path.basename(sf_dir.rstrip("/")))
+        work_dir = os.path.join(_default_work_root(os.getpid()),
+                                os.path.basename(sf_dir.rstrip("/")))
     ckpt_dir = os.path.join(work_dir, "checkpoint")
     out_dir = os.path.join(work_dir, "shards")
     if not resume:
@@ -413,7 +408,7 @@ def curation_recipe(sf_dir: str, work_dir: "str | None" = None,
     # train-row-proportional: size-routed like the reject set (broadcast
     # (pid→seq_id) lookup under the cap, co-partitioned hash_join above).
     shard_rows = []
-    if plan is not None and n_train > 0:
+    if n_train > 0:
         if n_train <= broadcast_cap_rows:
             lk_ref = _sorted_lookup.remote(plan.to_arrow_refs(), "pid",
                                            ("seq_id",))

@@ -551,15 +551,10 @@ def resolve_pointer_chains(ptr_ds, n_coarse: "int | None" = None,
                 "changed": pa.array((old != new).astype(np.int64))})
 
         # one materialization per round; the changed flag rides along and
-        # is simply not read by the next round's join inputs. The
-        # repartition is load-bearing: the join's union+map_groups DOUBLES
-        # the block count every round (41 → 1343 blocks by round 5 at the
-        # 5k-row tier, per-block fixed costs turning ~1 s rounds into 55 s
-        # — measured), so each round coalesces back to the shuffle's own
-        # partition count before materializing.
-        from .exchange import N_COARSE
-        nxt = (joined.map_batches(jump, batch_format="pyarrow")
-               .repartition(n_coarse or N_COARSE).materialize())
+        # is simply not read by the next round's join inputs. The join's
+        # keyed exchange emits at most n_coarse blocks, so the block
+        # count stays bounded round over round.
+        nxt = joined.map_batches(jump, batch_format="pyarrow").materialize()
         if nxt.count() != n_rows:
             raise ValueError(
                 "pointer table is not closed: round joined "

@@ -535,7 +535,6 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 
 MD5MH_PERM = 16
 MD5MH_BANDS = 8
-MD5MH_ROWS = MD5MH_PERM // MD5MH_BANDS     # 2 rows per band
 P31 = (1 << 31) - 1                        # Mersenne prime 2^31 - 1
 _rs31 = np.random.RandomState(7)
 MD5MH_A = _rs31.randint(1, P31, size=MD5MH_PERM).astype(np.int64)

@@ -1,5 +1,8 @@
 """The keyed exchange every grouped shuffle of the dedup, join and
-link-graph layers rides.
+link-graph layers rides: ``stages/dedup``, ``stages/joins.hash_join``,
+``stages/linkgraph``, ``stages/text_analysis`` (tf-idf top terms and the
+global-order plans), the checkpoint writer ``state/manifest`` and the
+curation recipe ``pipelines/recipe``.
 
 ``keyed_exchange(ds, keys, group_fn, out_schema, n_coarse)`` co-locates
 every row sharing a value of ``keys`` and hands each coarse bucket to
@@ -26,6 +29,12 @@ every row sharing a value of ``keys`` and hands each coarse bucket to
 Grouping on a coarse bucket instead of the exact key cuts the per-group
 dispatch from one call per key to at most ``n_coarse`` calls, with
 identical results: all rows of one exact key land in one bucket.
+
+``range_prefix(ds, bucket, order_by, emit, out_schema, weight)`` is the
+one range prefix sum on top of it: every row's exclusive prefix sum of a
+weight over a global order, with no global sort. ``pack_sequences``,
+``global_shuffle_order``, ``global_value_rank`` and the recipe's pack
+plan ride it.
 """
 
 from __future__ import annotations
@@ -131,6 +140,53 @@ def keyed_exchange(ds, keys: "list[str]", group_fn, out_schema,
     if not held:
         return ray.data.from_arrow(typed_empty(schema))
     return ray.data.from_arrow_refs(held)
+
+
+def range_prefix(ds, bucket: str, order_by: "list[str]", emit, out_schema,
+                 weight: "str | None" = None):
+    """Every row's exclusive prefix sum of ``weight`` (1 per row when
+    None) over the global (``bucket``, *``order_by``) order, with no
+    global sort. ``bucket`` is a non-negative int column that
+    range-partitions that order.
+
+    Each bucket's total comes from per-block Arrow ``group_by``
+    partials summed on the driver; their exclusive cumsum is the
+    bucket's base. One ``keyed_exchange`` on ``bucket`` then sorts each
+    coarse group (which holds every bucket routed to it) and calls
+    ``emit(sorted_rows, prefix)``, ``prefix`` an int64 array, for a
+    table with the columns of ``out_schema``. Runs ``ds`` once."""
+    ds = ds.materialize()
+
+    def weights(t: pa.Table) -> np.ndarray:
+        return t[weight].to_numpy().astype(np.int64) if weight \
+            else np.ones(t.num_rows, np.int64)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return pa.table({bucket: batch[bucket], "w": weights(batch)}) \
+            .group_by(bucket).aggregate([("w", "sum")])
+
+    parts = [t for t in ray.get(ds.map_batches(
+        partial, batch_format="pyarrow").to_arrow_refs()) if t.num_rows]
+    keys = base = np.empty(0, np.int64)
+    if parts:
+        tot = pa.concat_tables(parts).group_by(bucket) \
+            .aggregate([("w_sum", "sum")]).sort_by(bucket)
+        keys = tot[bucket].to_numpy()
+        w = tot["w_sum_sum"].to_numpy()
+        base = np.cumsum(w) - w
+    order = [(c, "ascending") for c in (bucket, *order_by)]
+
+    def group(t: pa.Table) -> pa.Table:
+        t = t.sort_by(order)
+        b = t[bucket].to_numpy()
+        w = weights(t)
+        cs = np.cumsum(w) - w
+        # cs minus its value at the row's bucket start is the in-bucket
+        # prefix; np.searchsorted(b, b) is that start (b is sorted)
+        return emit(t, base[np.searchsorted(keys, b)] + cs
+                    - cs[np.searchsorted(b, b)])
+
+    return keyed_exchange(ds, [bucket], group, out_schema)
 
 
 def nonempty_or_typed_table(ds, cols: "dict[str, pa.DataType]"):

@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import keyed_exchange
+from .exchange import keyed_exchange, range_prefix
 
 # small fixed stopword subsets used by quality scoring / language ID —
 # deliberately small so the SQL oracle regex stays manageable.
@@ -282,24 +282,22 @@ def pack_sequences(ds, budget: int = SEQ_BUDGET, id_col: str = "doc_id",
     spans_boundary) — the plan a packing writer consumes to co-locate each
     sequence's members; the heavy text column never moves.
 
-    Distributed EXCLUSIVE PREFIX SUM in one data shuffle:
+    Distributed EXCLUSIVE PREFIX SUM in one data shuffle
+    (``exchange.range_prefix``):
       1. each batch projects to (id, n_tokens, rkey = id // range_width);
          the text column drops immediately, so the exchanged table is
-         ~16 bytes/doc regardless of corpus size. Materialized once
-         because two consumers read it (re-running lineage would re-read
-         the full text corpus);
-      2. per-range token totals (native groupby sum) form the BOUNDED
-         driver table — one row per id-range, sized by ``range_width``
-         (callers target ~1e2-1e5 ranges; at 100 TB / 3e11 docs a 3e6
-         width keeps it at 1e5 rows) — exclusive-prefix-summed into a
-         base-offset dict that rides into the group fn;
-      3. range-keyed map_groups sorts each range by id and adds the
+         ~16 bytes/doc regardless of corpus size;
+      2. per-range token totals (per-block Arrow partials) form the
+         BOUNDED driver table — one row per id-range, sized by
+         ``range_width`` (callers target ~1e2-1e5 ranges; at 100 TB /
+         3e11 docs a 3e6 width keeps it at 1e5 rows) — whose exclusive
+         prefix sum is each range's base offset;
+      3. one keyed exchange on rkey sorts each range by id and adds the
          in-range exclusive cumsum to the range's base.
 
     Ranges are contiguous in id, so cross-range order is the (sorted)
     base table's order and in-range order is the group sort — together
     the exact global id order with NO global sort."""
-    import pandas as pd
 
     def project(batch: pa.Table) -> pa.Table:
         t = pc.fill_null(batch[text_col], "")
@@ -309,41 +307,22 @@ def pack_sequences(ds, budget: int = SEQ_BUDGET, id_col: str = "doc_id",
             "n_tokens": pc.cast(_count(t, _WS_TOKEN_RE), pa.int64()),
             "rkey": pa.array(ids // range_width, pa.int64())})
 
-    counts = ds.map_batches(project, batch_format="pyarrow").materialize()
-
-    out_schema = {
-        id_col: pa.int64(), "n_tokens": pa.int64(),
-        "start_offset": pa.int64(), "seq_id": pa.int64(),
-        "offset_in_seq": pa.int64(), "spans_boundary": pa.bool_()}
-    if counts.count() == 0:  # empty groupby erodes schema — short-circuit
-        return pa.table({n: pa.array([], t) for n, t in out_schema.items()})
-
-    totals = counts.groupby("rkey").sum("n_tokens").to_pandas()
-    totals = totals.sort_values("rkey")
-    base = totals["sum(n_tokens)"].astype(np.int64).cumsum() \
-                                  .shift(fill_value=0)
-    base_map = dict(zip(totals["rkey"].astype(np.int64),
-                        base.astype(np.int64)))
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values(id_col, kind="mergesort")
-        n = d["n_tokens"].to_numpy().astype(np.int64)
-        start = base_map[int(d["rkey"].iloc[0])] \
-            + np.concatenate(([0], np.cumsum(n)[:-1])).astype(np.int64)
+    def emit(t: pa.Table, start: np.ndarray) -> pa.Table:
+        n = t["n_tokens"].to_numpy()
         seq = start // budget
         last = start + np.maximum(n, 1) - 1  # index of the last token
-        return pd.DataFrame({
-            id_col: d[id_col].to_numpy(),
-            "n_tokens": n,
-            "start_offset": start,
-            "seq_id": seq,
+        return pa.table({
+            id_col: t[id_col], "n_tokens": t["n_tokens"],
+            "start_offset": start, "seq_id": seq,
             "offset_in_seq": start % budget,
             "spans_boundary": (n > 0) & ((last // budget) != seq)})
 
-    from .exchange import nonempty_or_typed_table
-
-    out = counts.groupby("rkey").map_groups(assign, batch_format="pandas")
-    return nonempty_or_typed_table(out, out_schema)
+    return range_prefix(
+        ds.map_batches(project, batch_format="pyarrow"), "rkey", [id_col],
+        emit, {id_col: pa.int64(), "n_tokens": pa.int64(),
+               "start_offset": pa.int64(), "seq_id": pa.int64(),
+               "offset_in_seq": pa.int64(), "spans_boundary": pa.bool_()},
+        weight="n_tokens")
 
 
 def global_shuffle_order(ds, id_col: str = "doc_id", seed: str = "s0",
@@ -360,16 +339,14 @@ def global_shuffle_order(ds, id_col: str = "doc_id", seed: str = "s0",
     unbiased sample of the corpus, in shuffled order).
 
     NO global sort: the hash's first byte is already uniform, so it
-    range-partitions the order — per-bucket counts form a ≤ ``n_buckets``
-    driver table whose exclusive prefix sum gives each bucket's base
-    rank (the pack_sequences convention); one bucket-keyed map_groups
-    sorts each bucket internally and adds the base. Exchange = (id,
-    32-char hash) per row; the payload never moves — the caller joins
-    ranks back or feeds (id → shard) straight to a partitioned writer.
-    Value-exact in SQL: row_number() over the same md5 ordering."""
+    range-partitions the order — ``exchange.range_prefix`` counts each
+    bucket in per-block partials, prefix-sums the ≤ ``n_buckets`` counts
+    into base ranks and adds each row's in-bucket rank in one keyed
+    exchange. Exchange = (id, 32-char hash) per row; the payload never
+    moves — the caller joins ranks back or feeds (id → shard) straight
+    to a partitioned writer. Value-exact in SQL: row_number() over the
+    same md5 ordering."""
     import hashlib
-
-    import pandas as pd
 
     pre = f"{seed}:"
 
@@ -382,32 +359,16 @@ def global_shuffle_order(ds, id_col: str = "doc_id", seed: str = "s0",
                          "shuffle_hash": pa.array(h, pa.string()),
                          "bucket": pa.array(bucket, pa.int64())})
 
-    out_schema = {id_col: pa.int64(), "shuffle_hash": pa.string(),
-                  "shuffle_rank": pa.int64(), "shard": pa.int64()}
-    proj = ds.map_batches(project, batch_format="pyarrow").materialize()
-    if proj.count() == 0:
-        return pa.table({n: pa.array([], t) for n, t in out_schema.items()})
+    def emit(t: pa.Table, rank: np.ndarray) -> pa.Table:
+        return pa.table({id_col: t[id_col],
+                         "shuffle_hash": t["shuffle_hash"],
+                         "shuffle_rank": rank, "shard": rank % n_shards})
 
-    counts = proj.groupby("bucket").count().to_pandas()
-    counts = counts.sort_values("bucket")
-    base = counts["count()"].astype(np.int64).cumsum().shift(fill_value=0)
-    base_map = dict(zip(counts["bucket"].astype(np.int64),
-                        base.astype(np.int64)))
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values(["shuffle_hash", id_col], kind="mergesort")
-        rank = base_map[int(d["bucket"].iloc[0])] \
-            + np.arange(len(d), dtype=np.int64)
-        return pd.DataFrame({
-            id_col: d[id_col].to_numpy(),
-            "shuffle_hash": d["shuffle_hash"].to_numpy(),
-            "shuffle_rank": rank,
-            "shard": rank % n_shards})
-
-    from .exchange import nonempty_or_typed_table
-
-    out = proj.groupby("bucket").map_groups(assign, batch_format="pandas")
-    return nonempty_or_typed_table(out, out_schema)
+    return range_prefix(
+        ds.map_batches(project, batch_format="pyarrow"), "bucket",
+        ["shuffle_hash", id_col], emit,
+        {id_col: pa.int64(), "shuffle_hash": pa.string(),
+         "shuffle_rank": pa.int64(), "shard": pa.int64()})
 
 
 def global_value_rank(ds, value_col: str, id_col: str = "doc_id",
@@ -418,18 +379,16 @@ def global_value_rank(ds, value_col: str, id_col: str = "doc_id",
     cutoffs) that complements group_zscore's moment-based one.
 
     NO global sort: integer values range-partition themselves —
-    bucket = value // range_width → per-bucket counts → a bounded driver
-    prefix sum gives each bucket's base rank → one bucket-keyed
-    map_groups sorts locally and adds the base (the pack_sequences /
-    global_shuffle_order convention; buckets are contiguous in value, so
-    cross-bucket order is the prefix order and in-bucket order the local
-    sort). Exchange = (id, value) per row. percentile_micro =
-    rank · 1e6 // n — exact integers, value-exact in SQL row_number.
+    bucket = value // range_width, and ``exchange.range_prefix`` turns
+    per-bucket counts into base ranks and adds each row's in-bucket
+    rank (buckets are contiguous in value, so cross-bucket order is the
+    prefix order and in-bucket order the local sort). Exchange = (id,
+    value) per row. percentile_micro = rank · 1e6 // n — exact integers,
+    value-exact in SQL row_number.
 
     Contract: values are NON-NEGATIVE ints (true for every count/length
     column this engine emits) — Arrow's truncated integer division would
     misbucket negatives relative to floor order; nulls count as 0."""
-    import pandas as pd
 
     def project(batch: pa.Table) -> pa.Table:
         v = pc.cast(pc.fill_null(batch[value_col], 0), pa.int64())
@@ -437,33 +396,18 @@ def global_value_rank(ds, value_col: str, id_col: str = "doc_id",
         return pa.table({id_col: batch[id_col], "value": v,
                          "bucket": pc.cast(b, pa.int64())})
 
-    out_schema = {id_col: pa.int64(), "value": pa.int64(),
-                  "rank_idx": pa.int64(), "percentile_micro": pa.int64()}
     proj = ds.map_batches(project, batch_format="pyarrow").materialize()
     n = proj.count()
-    if n == 0:
-        return pa.table({c: pa.array([], t) for c, t in out_schema.items()})
 
-    counts = proj.groupby("bucket").count().to_pandas()
-    counts = counts.sort_values("bucket")
-    base = counts["count()"].astype(np.int64).cumsum().shift(fill_value=0)
-    base_map = dict(zip(counts["bucket"].astype(np.int64),
-                        base.astype(np.int64)))
+    def emit(t: pa.Table, rank: np.ndarray) -> pa.Table:
+        return pa.table({id_col: t[id_col], "value": t["value"],
+                         "rank_idx": rank,
+                         "percentile_micro": rank * 1_000_000 // n})
 
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values(["value", id_col], kind="mergesort")
-        rank = base_map[int(d["bucket"].iloc[0])] \
-            + np.arange(len(d), dtype=np.int64)
-        return pd.DataFrame({
-            id_col: d[id_col].to_numpy(),
-            "value": d["value"].to_numpy(),
-            "rank_idx": rank,
-            "percentile_micro": rank * 1_000_000 // n})
-
-    from .exchange import nonempty_or_typed_table
-
-    out = proj.groupby("bucket").map_groups(assign, batch_format="pandas")
-    return nonempty_or_typed_table(out, out_schema)
+    return range_prefix(
+        proj, "bucket", ["value", id_col], emit,
+        {id_col: pa.int64(), "value": pa.int64(), "rank_idx": pa.int64(),
+         "percentile_micro": pa.int64()})
 
 
 CMS_DEPTH = 4

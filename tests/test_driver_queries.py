@@ -835,6 +835,29 @@ class TestCurationRecipe:
             assert out.loc[bad].extracted_text is None
             assert out.loc[bad].doc_id == _url_id(bad)
 
+    def test_default_work_dir_removed_at_exit(self):
+        """A run without ``work_dir`` writes under a per-process /tmp root
+        that is gone once the process exits."""
+        import subprocess
+        import sys
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "import os, ray\n"
+            "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+            " logging_level='ERROR')\n"
+            "from mobile_ocr_api_ray.pipelines.recipe import"
+            " curation_recipe\n"
+            f"curation_recipe({SF!r})\n"
+            "root = f'/tmp/mobile_ocr_recipe_{os.getpid()}'\n"
+            "print(os.getpid(), os.path.isdir(root))\n")
+        env = dict(os.environ, PYTHONPATH=repo)
+        out = subprocess.run([sys.executable, "-c", code], cwd=repo, env=env,
+                             capture_output=True, text=True, timeout=600,
+                             check=True)
+        pid, existed = out.stdout.split()[-2:]
+        assert existed == "True"
+        assert not os.path.exists(f"/tmp/mobile_ocr_recipe_{pid}")
+
     def test_export_shards_on_disk_match_manifest(self, manifest):
         import glob
         import pyarrow.parquet as pq

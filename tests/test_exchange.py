@@ -271,7 +271,8 @@ def _map_groups_calls(path: str) -> "list[str]":
 
 # modules whose every grouped exchange goes through keyed_exchange
 MIGRATED = ["stages/dedup.py", "stages/exchange.py", "stages/joins.py",
-            "stages/linkgraph.py", "state/manifest.py", "pipelines/recipe.py"]
+            "stages/linkgraph.py", "stages/text_analysis.py",
+            "state/manifest.py", "pipelines/recipe.py"]
 
 
 @pytest.mark.parametrize("module", MIGRATED)
