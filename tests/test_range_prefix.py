@@ -36,12 +36,8 @@ def _ds(cols: dict, blocks: int):
                                 for a, b in zip(cuts[:-1], cuts[1:])])
 
 
-def _frame(ds, id_col: str = "doc_id") -> pd.DataFrame:
-    return ds.to_pandas().sort_values(id_col).reset_index(drop=True)
-
-
-def _sorted(df: pd.DataFrame, id_col: str = "doc_id") -> pd.DataFrame:
-    return df.sort_values(id_col).reset_index(drop=True)
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 class TestAgainstPandasForms:
@@ -58,7 +54,7 @@ class TestAgainstPandasForms:
             _ds({"doc_id": pa.array(ids, pa.int64()),
                  "text": pa.array(texts, pa.string())}, blocks),
             budget=budget, range_width=width)
-        pd.testing.assert_frame_equal(_frame(out), _sorted(
+        pd.testing.assert_frame_equal(_sorted(out.to_pandas()), _sorted(
             range_oracles.pack_sequences(ids, texts, budget, width)))
 
     @given(_ids, st.sampled_from(["s0", "s1"]), st.integers(1, 8),
@@ -69,7 +65,7 @@ class TestAgainstPandasForms:
         out = text_analysis.global_shuffle_order(
             _ds({"doc_id": pa.array(ids, pa.int64())}, blocks), seed=seed,
             n_shards=n_shards, n_buckets=n_buckets)
-        pd.testing.assert_frame_equal(_frame(out), _sorted(
+        pd.testing.assert_frame_equal(_sorted(out.to_pandas()), _sorted(
             range_oracles.global_shuffle_order(ids, seed, n_shards,
                                                n_buckets)))
 
@@ -86,7 +82,7 @@ class TestAgainstPandasForms:
             _ds({"doc_id": pa.array(ids, pa.int64()),
                  "n_chars": pa.array(values, pa.int64())}, blocks),
             "n_chars", range_width=width)
-        pd.testing.assert_frame_equal(_frame(out), _sorted(
+        pd.testing.assert_frame_equal(_sorted(out.to_pandas()), _sorted(
             range_oracles.global_value_rank(ids, values, width)))
 
 
